@@ -1,14 +1,14 @@
 """Synthetic source/target dataset pairs with controlled label-space overlap.
 
-Classes are isotropic Gaussian clusters whose means sit on a circle in the
-first two feature dimensions. The circle radius is chosen so adjacent means
-are six standard deviations apart, which keeps classes well separated before
-any shift is applied. A label split carves the class list into common,
-source-private and target-private groups: indices [0, n_common) are common,
-the next n_source_private are source-only, the rest target-only. The target
-domain additionally undergoes a fixed covariate shift (rotation in the first
-two dimensions, translation, extra feature noise), so adaptation has real
-work to do even on common classes.
+Classes are isotropic Gaussian clusters whose means sit at the vertices of a
+regular simplex in the first n_classes feature dimensions (`class_means`).
+Every pair of means is six standard deviations apart, which keeps classes
+well separated before any shift is applied. A label split carves the class
+list into common, source-private and target-private groups: indices
+[0, n_common) are common, the next n_source_private are source-only, the rest
+target-only. The target domain additionally undergoes a fixed covariate shift
+(rotation in the first two dimensions, translation, extra feature noise), so
+adaptation has real work to do even on common classes.
 
 On-disk format (version 1), line-oriented UTF-8 with Unix newlines:
 

@@ -5,14 +5,19 @@ interrupted run leaves either the previous file or no file, never a torn one.
 """
 
 import os
-import tempfile
 
 
 def atomic_write_text(path, text):
-    """Write `text` to `path` atomically (temp file in the same directory, then rename)."""
+    """Write `text` to `path` atomically (temp file in the same directory, then rename).
+
+    The file gets the mode a plain open() would give it: 0o666 less the umask.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    # A fresh random name opened with O_EXCL and mode 0o666, so the kernel
+    # applies the umask as for any new file (tempfile.mkstemp fixes 0o600).
+    tmp = os.path.join(directory, ".tmp-%s~" % os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)

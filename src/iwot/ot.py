@@ -6,11 +6,15 @@ minimizing the Frobenius inner product with the cost.
 
 `solve_exact` phrases the problem as a linear program over sparse equality
 constraints and hands it to the HiGHS backend, returning a vertex-accurate
-plan. `solve_sinkhorn` is an entropic solver written here directly: log-domain
-dual iterations (all logsumexp, no unstabilized kernel products), optionally
-warm-started through a geometric regularization schedule so that very small
-final regularization stays cheap. Atoms with zero marginal mass are removed
-before either solver runs and their rows/columns restored as zeros afterwards.
+plan. `solve_sinkhorn` is an entropic solver written here directly: Sinkhorn
+dual iterations, optionally warm-started through a geometric regularization
+schedule so that very small final regularization stays cheap. Each level
+absorbs the current dual potentials into the kernel and, when every absorbed
+exponent is safe to exponentiate in float64, runs plain matrix-vector
+scalings on it (stabilized scaling, Schmitzer 2019); otherwise, as at the
+last levels of a reg around 1e-3, it runs log-sum-exp updates. Atoms with
+zero marginal mass are removed before either solver runs and their
+rows/columns restored as zeros afterwards.
 
 Cosine dissimilarity (1 - cosine similarity, range [0, 2]) is the cost used
 throughout the package; its gradient with respect to both feature sets is
@@ -167,9 +171,10 @@ def _restore_support(plan, rows, cols):
 def solve_exact(cost, p1, p2):
     """Minimum-cost coupling as the solution of the transportation LP.
 
-    Marginal feasibility of the returned plan is within 1e-8 in every row and
-    column. Solver failure raises NumericalError rather than returning a
-    partial answer.
+    Marginal feasibility of the returned plan is within HiGHS's primal
+    feasibility tolerance, 1e-7, in every row and column (usually far closer;
+    negative round-off entries are zeroed). Solver failure raises
+    NumericalError rather than returning a partial answer.
     """
     cost, p1, p2 = _check_problem(cost, p1, p2)
     active_cost, ap1, ap2, rows, cols = _reduce_support(cost, p1, p2)
@@ -206,30 +211,40 @@ class SinkhornResult:
         self.marginal_error = float(marginal_error)
 
 
+# np.exp of an argument below this is a subnormal double, which is slow to
+# compute; after the peak shift such a term is also below half an ulp of the
+# peak's exp(0) = 1 term, so dropping it does not change the sum.
+_EXP_FLOOR = -708.0
+# Scaling iterations multiply kernel entries exp(a) with |a| <= this bound by
+# scalings in [1/_SCALING_BOUND, _SCALING_BOUND] (about e^115), so every
+# product stays a normal double with a margin of e^140 for the drift within
+# one check interval.
+_KERNEL_EXPONENT_BOUND = 450.0
+_SCALING_BOUND = 1e50
+
+
 def _lse_rows(matrix):
     # logsumexp over axis=1, hand-rolled: scipy's version dominates runtime
     # at mini-batch sizes through per-call overhead.
     peak = matrix.max(axis=1)
-    out = np.log(np.exp(matrix - peak[:, None]).sum(axis=1))
+    shifted = matrix - peak[:, None]
+    np.putmask(shifted, shifted < _EXP_FLOOR, -np.inf)
+    out = np.log(np.exp(shifted, out=shifted).sum(axis=1))
     out += peak
     return out
 
 
 def _lse_cols(matrix):
     peak = matrix.max(axis=0)
-    out = np.log(np.exp(matrix - peak[None, :]).sum(axis=0))
+    shifted = matrix - peak[None, :]
+    np.putmask(shifted, shifted < _EXP_FLOOR, -np.inf)
+    out = np.log(np.exp(shifted, out=shifted).sum(axis=0))
     out += peak
     return out
 
 
-def _sinkhorn_stage(kernel, log_p1, log_p2, f, g, tol, max_iter, check_every=5):
-    """Dual ascent at one regularization level (kernel = -cost/reg).
-
-    Marginal error is measured every few iterations; convergence is geometric
-    so the overshoot is cheaper than checking each pass.
-    """
-    p1 = np.exp(log_p1)
-    p2 = np.exp(log_p2)
+def _log_iterations(kernel, log_p1, log_p2, p1, p2, f, g, tol, max_iter, check_every):
+    """Log-domain dual updates; safe for any exponent range, two exps per pass."""
     iterations = 0
     error = np.inf
     while iterations < max_iter:
@@ -243,6 +258,64 @@ def _sinkhorn_stage(kernel, log_p1, log_p2, f, g, tol, max_iter, check_every=5):
         error = max(row_err, col_err)
         if error <= tol:
             break
+    return f, g, iterations, error
+
+
+def _scaling_iterations(absorbed, p1, p2, f, g, tol, max_iter, check_every):
+    """The same updates as matrix-vector scalings of the absorbed kernel.
+
+    With K = exp(absorbed), absorbed = kernel + f + g, the potentials are
+    f + log u and g + log v; each pass is u = p1 / (K v), v = p2 / (K^T u),
+    and the plan is u K v, so no exp runs inside the loop. Stops early, at a
+    check, when u or v leaves [1/_SCALING_BOUND, _SCALING_BOUND], so that the
+    caller can absorb them into the potentials and rebuild K.
+    """
+    kernel = np.exp(absorbed)
+    kv = kernel.sum(axis=1)
+    iterations = 0
+    error = np.inf
+    while iterations < max_iter:
+        for _ in range(min(check_every, max_iter - iterations)):
+            u = p1 / kv
+            ktu = u @ kernel
+            v = p2 / ktu
+            kv = kernel @ v
+            iterations += 1
+        row_err = np.abs(u * kv - p1).max()
+        col_err = np.abs(v * ktu - p2).max()
+        error = max(row_err, col_err)
+        if error <= tol:
+            break
+        if max(u.max(), v.max()) > _SCALING_BOUND or min(u.min(), v.min()) < 1.0 / _SCALING_BOUND:
+            break
+    return f + np.log(u), g + np.log(v), iterations, error
+
+
+def _sinkhorn_stage(kernel, log_p1, log_p2, f, g, tol, max_iter, check_every=5):
+    """Dual ascent at one regularization level (kernel = -cost/reg).
+
+    The potentials are absorbed into the kernel and the stage runs scaling
+    iterations while every absorbed exponent is within
+    +-_KERNEL_EXPONENT_BOUND; otherwise (a small reg, late in annealing) it
+    runs log-domain updates. Both compute the same iterates. Marginal error is
+    measured every few iterations; convergence is geometric so the overshoot
+    is cheaper than checking each pass.
+    """
+    p1 = np.exp(log_p1)
+    p2 = np.exp(log_p2)
+    iterations = 0
+    error = np.inf
+    while iterations < max_iter and error > tol:
+        absorbed = kernel + f[:, None] + g[None, :]
+        if np.abs(absorbed).max() <= _KERNEL_EXPONENT_BOUND:
+            f, g, used, error = _scaling_iterations(
+                absorbed, p1, p2, f, g, tol, max_iter - iterations, check_every
+            )
+        else:
+            f, g, used, error = _log_iterations(
+                kernel, log_p1, log_p2, p1, p2, f, g, tol, max_iter - iterations, check_every
+            )
+        iterations += used
     return f, g, iterations, error
 
 
@@ -267,9 +340,12 @@ def _round_to_polytope(plan, p1, p2):
 
 
 def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000, anneal=True):
-    """Entropy-regularized coupling via log-domain dual iterations.
+    """Entropy-regularized coupling via Sinkhorn dual iterations.
 
-    With `anneal` on, the solver walks a geometric schedule of regularization
+    Each regularization level runs scaling iterations on the kernel with the
+    dual potentials absorbed, or log-domain updates where that kernel's
+    exponents are out of float64 range; both produce the same iterates. With
+    `anneal` on, the solver walks a geometric schedule of regularization
     levels from the cost scale down to `reg`, carrying the dual potentials
     across levels; this keeps small `reg` values from needing tens of
     thousands of iterations. The returned plan is projected onto the coupling

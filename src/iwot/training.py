@@ -7,9 +7,11 @@ stripped before the loop starts, so nothing downstream can touch them.
 
 Per-step loss terms land in a TrainHistory whose CSV round-trips exactly
 (header `step,epoch,classification,transport,separation,intra,total,converged`,
-floats written as %.17g). Steps whose batch is numerically degenerate (for
-example a zero-norm feature row) are skipped with a warning and leave no
-record; solver hard failures abort the run.
+floats written as %.17g). A step whose batch is numerically degenerate (for
+example a zero-norm feature row) falls back to a supervised step, with a
+warning, and is recorded as one. A step whose activations, loss or updated
+parameters are not finite (the run diverged, say from too large a learning
+rate) raises NumericalError naming the step; so do solver hard failures.
 """
 
 import logging
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import losses
 from .data import DomainDataset
-from .errors import ConfigError, DataFormatError, DegenerateInputError
+from .errors import ConfigError, DataFormatError, DegenerateInputError, NumericalError
 from .fileio import atomic_write_text, format_float
 from .nets import Mlp, SgdMomentum, cross_entropy
 from .settings import LEARNED
@@ -221,6 +223,17 @@ def _add_grads(a, b):
     return [(dw1 + dw2, db1 + db2) for (dw1, db1), (dw2, db2) in zip(a, b)]
 
 
+# A diverging run overflows. The step functions run with NumPy's overflow
+# warnings off because _check_finite reports the first non-finite value as a
+# NumericalError naming the step; the warnings would only repeat it.
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
+
+
+def _check_finite(step, name, value):
+    if not np.isfinite(value).all():
+        raise NumericalError("training diverged at step %d: %s is not finite" % (step, name))
+
+
 def _solver_kwargs(config):
     return dict(
         solver=config.solver,
@@ -320,6 +333,11 @@ def train(source, target, plan, config=None):
                 record = _supervised_step(
                     model, batch_x, batch_y, feature_opt, classifier_opt, step, epoch
                 )
+            _check_finite(step, "the total loss", record.total)
+            if not model.has_finite_params():
+                raise NumericalError(
+                    "training diverged at step %d: network parameters are not finite" % step
+                )
             history.append(record)
             step += 1
         epoch_records = history.records[-steps_per_epoch:]
@@ -333,6 +351,7 @@ def train(source, target, plan, config=None):
     return model, history
 
 
+@_QUIET_OVERFLOW
 def _supervised_step(model, batch_x, batch_y, feature_opt, classifier_opt, step, epoch):
     feats, trace_f = model.feature_net.forward(batch_x)
     logits, trace_c = model.classifier_net.forward(feats)
@@ -344,6 +363,7 @@ def _supervised_step(model, batch_x, batch_y, feature_opt, classifier_opt, step,
     return StepRecord(step, epoch, l_c, 0.0, 0.0, 0.0, l_c, True)
 
 
+@_QUIET_OVERFLOW
 def _adaptation_step(
     model, plan, config, solver_kwargs,
     batch_x, batch_y, target_x,
@@ -354,14 +374,20 @@ def _adaptation_step(
     feats_t, trace_t = model.feature_net.forward(target_x)
     logits, trace_c = model.classifier_net.forward(feats_s)
     l_c, dlogits = cross_entropy(logits, batch_y)
+    # Checked before any term that rejects non-finite input: the loss covers
+    # the source features and the logits.
+    _check_finite(step, "the classification loss", l_c)
+    _check_finite(step, "the target features", feats_t)
 
     weights_s = weights_t = None
     trace_ws = trace_wt = None
     if plan.needs_source_weights:
         raw_s, trace_ws = model.weight_net.forward(feats_s)
+        _check_finite(step, "a source instance weight", raw_s)
         weights_s = losses.normalize_weights(raw_s[:, 0])
     if plan.needs_target_weights:
         raw_t, trace_wt = model.weight_net.forward(feats_t)
+        _check_finite(step, "a target instance weight", raw_t)
         weights_t = losses.normalize_weights(raw_t[:, 0])
 
     marginal_s = (

@@ -144,6 +144,17 @@ class TestTrainEval:
         other_config = write_config(tmp_path, other, name="other.ini")
         assert run(["train", "--config", other_config, "--out", out]) == 2
 
+    def test_diverging_train_is_numerical_error(self, generated, tmp_path, capsys):
+        _, out = generated
+        diverging = BASE_CONFIG.replace("learning_rate = 0.002", "learning_rate = 50")
+        config = write_config(tmp_path, diverging, name="diverging.ini")
+        capsys.readouterr()
+        assert run(["train", "--config", config, "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: training diverged at step ")
+        assert err.count("\n") == 1
+        assert not os.path.exists(os.path.join(out, "checkpoint.json"))
+
     def test_eval_reports_and_exit_codes(self, generated, capsys):
         config, out = generated
         assert run(["train", "--config", config, "--out", out]) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from iwot import ot
 from iwot.errors import DegenerateInputError
 from iwot.ot import (
     cosine_cost,
@@ -15,6 +16,10 @@ from iwot.ot import (
     write_matrix_csv,
 )
 from iwot.reference import permutation_transport, vertex_transport
+
+
+# Taken before any test can replace it with a recording wrapper.
+LOG_DOMAIN_REFERENCE = ot._log_iterations
 
 
 def random_marginal(rng, n):
@@ -258,6 +263,126 @@ class TestSolveSinkhorn:
         p2 = np.full(3, 1.0 / 3)
         result = solve_sinkhorn(cost, p1, p2, reg=0.05)
         assert (result.coupling[1] == 0.0).all()
+
+
+def anneal_levels(cost, reg):
+    """The regularization levels `solve_sinkhorn` walks with `anneal` on."""
+    level, levels = float(cost.max()), []
+    while level > 2.0 * reg:
+        levels.append(level)
+        level /= 2.0
+    return levels + [reg]
+
+
+def learned_marginal(rng, n):
+    # Sigmoid outputs of a weight head, normalized: non-uniform, all positive.
+    raw = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 2.0, n)))
+    return raw / raw.sum()
+
+
+@pytest.fixture()
+def stage_paths(monkeypatch):
+    """Per `_sinkhorn_stage` call, the iteration paths it ran, in order."""
+    stages = []
+    real_stage = ot._sinkhorn_stage
+
+    def stage(*args, **kwargs):
+        stages.append([])
+        return real_stage(*args, **kwargs)
+
+    monkeypatch.setattr(ot, "_sinkhorn_stage", stage)
+    for name, label in (("_scaling_iterations", "scaling"), ("_log_iterations", "log")):
+        real = getattr(ot, name)
+
+        def wrapper(*args, _real=real, _label=label):
+            stages[-1].append(_label)
+            return _real(*args)
+
+        monkeypatch.setattr(ot, name, wrapper)
+    return stages
+
+
+class TestSinkhornStages:
+    def compare_with_log_domain(self, cost, p1, p2, levels, tol=1e-6, max_iter=1000):
+        """Run every stage by `_sinkhorn_stage` and by the log-domain reference
+        from the same potentials; return the largest differences."""
+        log_p1, log_p2 = np.log(p1), np.log(p2)
+        f, g = np.zeros(p1.size), np.zeros(p2.size)
+        worst_potential = worst_plan = 0.0
+        for index, level in enumerate(levels):
+            last = index == len(levels) - 1
+            stage_tol = tol if last else max(tol, 1e-3)
+            budget = max_iter if last else min(max_iter, 200)
+            kernel = -cost / level
+            ref = LOG_DOMAIN_REFERENCE(
+                kernel, log_p1, log_p2, p1, p2, f, g, stage_tol, budget, 5
+            )
+            got = ot._sinkhorn_stage(kernel, log_p1, log_p2, f, g, stage_tol, budget)
+            assert got[2] == ref[2], "iteration counts differ at level %g" % level
+            assert (got[3] <= stage_tol) == (ref[3] <= stage_tol)
+            worst_potential = max(
+                worst_potential, np.abs(got[0] - ref[0]).max(), np.abs(got[1] - ref[1]).max()
+            )
+            plan_ref = np.exp(kernel + ref[0][:, None] + ref[1][None, :])
+            plan_got = np.exp(kernel + got[0][:, None] + got[1][None, :])
+            worst_plan = max(worst_plan, np.abs(plan_got - plan_ref).max())
+            f, g = ref[0], ref[1]
+        return worst_potential, worst_plan
+
+    def test_scaling_matches_log_domain_at_training_reg(self, stage_paths):
+        rng = np.random.default_rng(30)
+        for m, n in ((64, 64), (64, 48), (16, 64)):
+            cost = cosine_cost(rng.normal(size=(m, 16)), rng.normal(size=(n, 16)))
+            p1, p2 = learned_marginal(rng, m), learned_marginal(rng, n)
+            worst_potential, worst_plan = self.compare_with_log_domain(
+                cost, p1, p2, anneal_levels(cost, 0.05)
+            )
+            assert worst_potential <= 1e-12
+            assert worst_plan <= 1e-12
+        # At the training reg no stage needs the log domain or an absorption.
+        assert stage_paths and all(paths == ["scaling"] for paths in stage_paths)
+
+    def test_absorption_keeps_iterates_and_marginals(self, stage_paths):
+        # Atoms of mass ~1e-60 push their scalings below 1/_SCALING_BOUND
+        # within the first check interval of an unannealed solve, long before
+        # it converges, so the potentials are absorbed and the kernel rebuilt.
+        rng = np.random.default_rng(31)
+        cost = cosine_cost(rng.normal(size=(32, 8)), rng.normal(size=(32, 8)))
+        p1, p2 = learned_marginal(rng, 32), learned_marginal(rng, 32)
+        p1[:4] = 1e-60 * rng.uniform(0.5, 2.0, 4)
+        p2[-3:] = 1e-60 * rng.uniform(0.5, 2.0, 3)
+        p1, p2 = p1 / p1.sum(), p2 / p2.sum()
+        worst_potential, worst_plan = self.compare_with_log_domain(cost, p1, p2, [0.05])
+        assert any(paths.count("scaling") > 1 for paths in stage_paths)
+        assert all("log" not in paths for paths in stage_paths)
+        assert worst_potential <= 1e-12 and worst_plan <= 1e-12
+        result = solve_sinkhorn(cost, p1, p2, reg=0.05, anneal=False)
+        assert result.converged and result.marginal_error <= 1e-6
+        assert validate_coupling(result.coupling, p1, p2, tol=1e-15).passed
+
+    def test_small_reg_final_stage_runs_in_log_domain(self, stage_paths):
+        rng = np.random.default_rng(32)
+        for cost in (rng.uniform(0.0, 2.0, (4, 4)),
+                     cosine_cost(rng.normal(size=(64, 16)), rng.normal(size=(64, 16)))):
+            uniform = np.full(cost.shape[0], 1.0 / cost.shape[0])
+            stage_paths.clear()
+            solve_sinkhorn(cost, uniform, uniform, reg=1e-3, max_iter=20000)
+            assert len(stage_paths) == len(anneal_levels(cost, 1e-3))
+            assert stage_paths[0][0] == "scaling"
+            assert stage_paths[-1] == ["log"]
+
+    def test_lse_flush_leaves_sums_unchanged(self):
+        # Entries 708-745 below their row/column peak have subnormal or zero
+        # exponentials; the flushed helpers must match the plain formula.
+        rng = np.random.default_rng(33)
+        matrix = rng.uniform(-40.0, 5.0, (40, 30))
+        matrix[rng.random((40, 30)) < 0.5] -= 705.0
+        for axis, helper in ((1, ot._lse_rows), (0, ot._lse_cols)):
+            peak = matrix.max(axis=axis, keepdims=True)
+            deficit = peak - matrix
+            assert ((deficit > 708.0) & (deficit < 745.0)).any()
+            plain = np.log(np.exp(matrix - peak).sum(axis=axis)) + peak.squeeze(axis)
+            assert_allclose(helper(matrix), plain, rtol=1e-15, atol=0.0)
 
 
 class TestCouplingCost:

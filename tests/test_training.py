@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from iwot.data import LabelSplit, ShiftSpec, generate_pair
-from iwot.errors import ConfigError
+from iwot.errors import ConfigError, NumericalError
 from iwot.settings import plan_for_setting
 from iwot.training import (
     EpochSampler,
@@ -224,6 +224,14 @@ class TestTrainingBehavior:
         totals = [r.total for r in hist.records]
         tenth = max(1, len(totals) // 10)
         assert float(np.median(totals[-tenth:])) < float(np.median(totals[:tenth]))
+
+    def test_divergence_raises_numerical_error_naming_the_step(self):
+        # At this learning rate the activations overflow within a few steps.
+        source, target = small_pair()
+        cfg = quick_config(epochs=3, learning_rate=50.0)
+        for setting in ("pda", "unida"):
+            with pytest.raises(NumericalError, match=r"diverged at step \d+"):
+                train(source, target, plan_for_setting(setting), cfg)
 
     def test_trained_model_params_finite(self):
         source, target = small_pair()

@@ -1,8 +1,9 @@
 """Solve one small transport problem three ways and compare.
 
-Builds a random cost matrix, solves it with the exact LP route, the
-entropic route, and the brute-force permutation oracle, then prints the
-three objectives side by side.
+Builds a random cost matrix, solves it with the exact route (an assignment
+here, since the problem is square with uniform marginals; the weighted
+re-solve at the end is an LP), the entropic route, and the brute-force
+permutation oracle, then prints the three objectives side by side.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ entropic = ot.solve_sinkhorn(cost, uniform, uniform, reg=1e-3)
 entropic_value = ot.coupling_cost(entropic.coupling, cost)
 check = ot.validate_coupling(entropic.coupling, uniform, uniform, tol=1e-6)
 
-print("exact LP objective      %.10f" % exact_value)
+print("exact objective         %.10f" % exact_value)
 print("permutation oracle      %.10f" % oracle_value)
 print("entropic (reg 1e-3)     %.10f" % entropic_value)
 print("entropic plan feasible  %s (max marginal error %.2e)"

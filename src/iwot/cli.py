@@ -12,9 +12,11 @@ A run is configured by an INI file with three sections:
                   feature_dim
 
 Unknown sections or keys are rejected with the offending name. `--seed`
-overrides the configured seed. Every subcommand first writes a manifest
-(manifest_<command>.json) into the output directory recording command,
-inputs, seed and promised outputs, then produces those outputs atomically.
+overrides the configured seed. Every subcommand writes its outputs
+atomically and then a manifest (manifest_<command>.json) into the output
+directory recording command, inputs, seed and those outputs, so every file a
+manifest names exists whatever the exit code: a command that fails writes no
+manifest.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
 4 numerical failure.
@@ -224,15 +226,6 @@ def cmd_generate(args):
     config, snapshot = _load_experiment(args.config)
     _apply_seed_override(config, args)
     check_split_for_setting(config.split, config.setting)
-    _ensure_out_dir(args.out)
-    _write_manifest(
-        args.out,
-        "generate",
-        config.seed,
-        inputs=[os.path.abspath(args.config)],
-        outputs=[SOURCE_FILE, TARGET_FILE],
-        settings=snapshot,
-    )
     source, target = generate_pair(
         config.split,
         config.n_source,
@@ -241,8 +234,17 @@ def cmd_generate(args):
         config.seed,
         shift=config.shift,
     )
+    _ensure_out_dir(args.out)
     save_dataset(os.path.join(args.out, SOURCE_FILE), source)
     save_dataset(os.path.join(args.out, TARGET_FILE), target)
+    _write_manifest(
+        args.out,
+        "generate",
+        config.seed,
+        inputs=[os.path.abspath(args.config)],
+        outputs=[SOURCE_FILE, TARGET_FILE],
+        settings=snapshot,
+    )
     print("wrote %s (%d samples) and %s (%d samples) to %s"
           % (SOURCE_FILE, source.n, TARGET_FILE, target.n, args.out))
     return EXIT_OK
@@ -262,15 +264,6 @@ def cmd_train(args):
         raise ConfigError("dataset label split does not match the configured split")
     check_split_for_setting(config.split, config.setting)
 
-    _ensure_out_dir(args.out)
-    _write_manifest(
-        args.out,
-        "train",
-        config.seed,
-        inputs=[os.path.abspath(p) for p in (args.config, source_path, target_path)],
-        outputs=[CHECKPOINT_FILE, HISTORY_FILE],
-        settings=snapshot,
-    )
     model, history = train(source, target, config.plan, config.train)
     meta = {
         "setting": config.setting.value,
@@ -285,6 +278,7 @@ def cmd_train(args):
         "input_dim": source.dim,
         "seed": config.seed,
     }
+    _ensure_out_dir(args.out)
     save_checkpoint(
         os.path.join(args.out, CHECKPOINT_FILE),
         {
@@ -295,6 +289,14 @@ def cmd_train(args):
         meta,
     )
     history.save_csv(os.path.join(args.out, HISTORY_FILE))
+    _write_manifest(
+        args.out,
+        "train",
+        config.seed,
+        inputs=[os.path.abspath(p) for p in (args.config, source_path, target_path)],
+        outputs=[CHECKPOINT_FILE, HISTORY_FILE],
+        settings=snapshot,
+    )
     last = history.records[-1] if history.records else None
     if last is not None:
         print("trained %d steps; final total loss %.6f" % (len(history), last.total))
@@ -338,7 +340,10 @@ def cmd_eval(args):
             raise ConfigError("source and target dataset dimensionalities differ")
         inputs.append(os.path.abspath(args.source))
 
+    report = evaluate(model, target, plan, source=source)
     _ensure_out_dir(args.out)
+    report.save_json(os.path.join(args.out, REPORT_JSON))
+    report.save_csv(os.path.join(args.out, REPORT_CSV))
     _write_manifest(
         args.out,
         "eval",
@@ -347,9 +352,6 @@ def cmd_eval(args):
         outputs=[REPORT_JSON, REPORT_CSV],
         settings={"setting": meta["setting"]},
     )
-    report = evaluate(model, target, plan, source=source)
-    report.save_json(os.path.join(args.out, REPORT_JSON))
-    report.save_csv(os.path.join(args.out, REPORT_CSV))
     for key, value in report.to_dict().items():
         if key == "per_class_acc":
             continue
@@ -425,6 +427,10 @@ def cmd_ot_check(args):
 
     if args.out is not None:
         _ensure_out_dir(args.out)
+        cost, exact_plan, entropic_plan = last
+        ot.write_matrix_csv(os.path.join(args.out, "cost.csv"), cost)
+        ot.write_matrix_csv(os.path.join(args.out, "coupling_exact.csv"), exact_plan)
+        ot.write_matrix_csv(os.path.join(args.out, "coupling_entropic.csv"), entropic_plan)
         _write_manifest(
             args.out,
             "ot-check",
@@ -433,10 +439,6 @@ def cmd_ot_check(args):
             outputs=["cost.csv", "coupling_exact.csv", "coupling_entropic.csv"],
             settings={"size": n, "instances": args.instances, "reg": args.reg},
         )
-        cost, exact_plan, entropic_plan = last
-        ot.write_matrix_csv(os.path.join(args.out, "cost.csv"), cost)
-        ot.write_matrix_csv(os.path.join(args.out, "coupling_exact.csv"), exact_plan)
-        ot.write_matrix_csv(os.path.join(args.out, "coupling_entropic.csv"), entropic_plan)
 
     if perm_pass and vertex_pass and entropic_pass:
         print("ot-check: PASS")

@@ -12,9 +12,12 @@ is the unknown accuracy. The harmonic mean of those two is the open-set
 summary score; the per-class mean with the unknown bucket counted as one
 extra class is also reported, with and without that bucket.
 
-The domain-gap diagnostic solves exact transport between feature clouds twice
-(uniform marginals, then learned-weight marginals on the sides the setting
-learns) so the effect of instance weighting is directly visible.
+The domain-gap diagnostic solves exact transport between feature clouds with
+uniform marginals, then again with learned-weight marginals on the sides the
+setting learns, so the effect of instance weighting is directly visible. A
+setting that learns neither side (CSDA) reuses the uniform value as the
+learned one. With equally many points on both sides the uniform solve is an
+assignment, and its marginals hold exactly.
 """
 
 import json
@@ -182,7 +185,8 @@ def wasserstein_gap(features_a, features_b, raw_weights_a=None, raw_weights_b=No
 
     Returns (uniform_value, learned_value): the first with uniform marginals
     on both sides, the second with each side's raw weights normalized into its
-    marginal (sides passed as None stay uniform).
+    marginal (sides passed as None stay uniform). With both sides None the
+    two values are one solve.
     """
     a = np.asarray(features_a, dtype=np.float64)
     b = np.asarray(features_b, dtype=np.float64)
@@ -190,6 +194,8 @@ def wasserstein_gap(features_a, features_b, raw_weights_a=None, raw_weights_b=No
     uniform_a = np.full(a.shape[0], 1.0 / a.shape[0])
     uniform_b = np.full(b.shape[0], 1.0 / b.shape[0])
     uniform_value = ot.coupling_cost(ot.solve_exact(cost, uniform_a, uniform_b), cost)
+    if raw_weights_a is None and raw_weights_b is None:
+        return uniform_value, uniform_value
     marginal_a = normalize_weights(raw_weights_a).normalized if raw_weights_a is not None else uniform_a
     marginal_b = normalize_weights(raw_weights_b).normalized if raw_weights_b is not None else uniform_b
     learned_value = ot.coupling_cost(ot.solve_exact(cost, marginal_a, marginal_b), cost)

@@ -292,7 +292,8 @@ def load_checkpoint(path):
             "checkpoint %s has unsupported version %r (expected %d)"
             % (path, doc.get("version"), CHECKPOINT_VERSION)
         )
-    networks = {
-        name: _net_from_json(entry, name) for name, entry in doc.get("networks", {}).items()
-    }
-    return networks, doc.get("meta", {})
+    networks, meta = doc.get("networks", {}), doc.get("meta", {})
+    for key, value in (("networks", networks), ("meta", meta)):
+        if not isinstance(value, dict):
+            raise DataFormatError("checkpoint %s: %r is not a JSON object" % (path, key))
+    return {name: _net_from_json(entry, name) for name, entry in networks.items()}, meta

@@ -4,10 +4,16 @@ Two solvers share one contract: given a cost matrix and probability vectors
 p1, p2, find the coupling (a matrix with row sums p1 and column sums p2)
 minimizing the Frobenius inner product with the cost.
 
-`solve_exact` phrases the problem as a linear program over sparse equality
-constraints and hands it to the HiGHS backend, returning a vertex-accurate
-plan. `solve_sinkhorn` is an entropic solver written here directly: Sinkhorn
-dual iterations, optionally warm-started through a geometric regularization
+`solve_exact` returns a vertex of the transport polytope. A square problem
+whose masses are all equal is an assignment problem (every vertex is a
+permutation matrix times the common mass, Birkhoff-von Neumann), so it is
+solved by `scipy.optimize.linear_sum_assignment` and its marginals hold
+exactly; every other problem is a linear program over sparse equality
+constraints handed to HiGHS, whose marginals hold to HiGHS's primal
+feasibility tolerance.
+
+`solve_sinkhorn` is an entropic solver written here directly: Sinkhorn dual
+iterations, optionally warm-started through a geometric regularization
 schedule so that very small final regularization stays cheap. Each level
 absorbs the current dual potentials into the kernel and, when every absorbed
 exponent is safe to exponentiate in float64, runs plain matrix-vector
@@ -23,7 +29,7 @@ provided here so loss code can chain through it.
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import DegenerateInputError, NumericalError
 from .fileio import atomic_write_text, format_float
@@ -169,21 +175,31 @@ def _restore_support(plan, rows, cols):
 
 
 def solve_exact(cost, p1, p2):
-    """Minimum-cost coupling as the solution of the transportation LP.
+    """Minimum-cost coupling: an optimal vertex of the transportation polytope.
 
-    Marginal feasibility of the returned plan is within HiGHS's primal
-    feasibility tolerance, 1e-7, in every row and column (usually far closer;
-    negative round-off entries are zeroed). Solver failure raises
-    NumericalError rather than returning a partial answer.
+    After atoms with zero mass are removed, a square problem whose row and
+    column masses all equal one value is solved as an assignment: each matched
+    pair carries that mass, so every marginal holds exactly. Any other problem
+    is solved as the transportation LP by HiGHS, and its plan holds the
+    marginals within HiGHS's primal feasibility tolerance, 1e-7, in every row
+    and column (usually far closer; negative round-off entries are zeroed).
+    Solver failure raises NumericalError rather than returning a partial
+    answer.
     """
     cost, p1, p2 = _check_problem(cost, p1, p2)
     active_cost, ap1, ap2, rows, cols = _reduce_support(cost, p1, p2)
     m, n = active_cost.shape
+    mass = ap1[0]
+    if m == n and (ap1 == mass).all() and (ap2 == mass).all():
+        plan = np.zeros((m, n))
+        plan[linear_sum_assignment(active_cost)] = mass
+        return _restore_support(plan, rows, cols)
     # Row-sum constraints then column-sum constraints, on the vectorized plan.
     # The last column constraint is implied by the others (both marginals sum
     # to 1); dropping it keeps the system full-rank, which stops the solver
     # from declaring spurious infeasibility when some marginal entries sit
-    # near its feasibility tolerance.
+    # near its feasibility tolerance. Presolve finds nothing to remove in a
+    # transportation LP, so it is switched off.
     row_block = sp.kron(sp.eye(m, format="csr"), np.ones((1, n)), format="csr")
     col_block = sp.kron(np.ones((1, m)), sp.eye(n, format="csr"), format="csr")
     a_eq = sp.vstack([row_block, col_block[:-1]], format="csr")
@@ -194,6 +210,7 @@ def solve_exact(cost, p1, p2):
         b_eq=b_eq,
         bounds=(0, None),
         method="highs",
+        options={"presolve": False},
     )
     if not result.success:
         raise NumericalError("exact transport LP failed: %s" % result.message)

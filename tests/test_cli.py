@@ -44,6 +44,15 @@ def run(argv):
     return main(argv)
 
 
+def assert_manifests_complete(out):
+    """Every output that a manifest in `out` names exists beside it."""
+    for name in os.listdir(out):
+        if name.startswith("manifest_"):
+            manifest = json.loads(open(os.path.join(out, name)).read())
+            for output in manifest["outputs"]:
+                assert os.path.exists(os.path.join(out, output)), (name, output)
+
+
 class TestGenerate:
     def test_writes_datasets_and_manifest(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -154,6 +163,8 @@ class TestTrainEval:
         assert err.startswith("numerical error: training diverged at step ")
         assert err.count("\n") == 1
         assert not os.path.exists(os.path.join(out, "checkpoint.json"))
+        assert not os.path.exists(os.path.join(out, "manifest_train.json"))
+        assert_manifests_complete(out)
 
     def test_eval_reports_and_exit_codes(self, generated, capsys):
         config, out = generated
@@ -190,6 +201,24 @@ class TestTrainEval:
                     "--data", os.path.join(out, "target.txt"),
                     "--out", os.path.join(out, "eval")])
         assert code == 3
+
+    @pytest.mark.parametrize("key", ["meta", "networks"])
+    def test_eval_checkpoint_entry_not_object_is_io_error(self, generated, tmp_path, capsys, key):
+        config, out = generated
+        assert run(["train", "--config", config, "--out", out]) == 0
+        doc = json.loads(open(os.path.join(out, "checkpoint.json")).read())
+        doc[key] = None
+        bad = tmp_path / "null_entry.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        eval_out = os.path.join(out, "eval")
+        code = run(["eval", "--checkpoint", str(bad),
+                    "--data", os.path.join(out, "target.txt"), "--out", eval_out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input/output error: ") and repr(key) in err
+        assert err.count("\n") == 1
+        assert not os.path.exists(eval_out)
 
 
 class TestOtCheck:

@@ -15,7 +15,7 @@ from iwot.losses import (
     total_loss,
     wot_loss,
 )
-from iwot.settings import plan_for_setting
+from iwot.settings import LEARNED, plan_for_setting
 
 
 def random_marginal(rng, n):
@@ -254,6 +254,28 @@ def fd_feature_grads(plan, feats_s, feats_t, coupling, partial, iot_coupling, io
     return grads
 
 
+def frozen_rows_objective(plan, raw_s, raw_t, base_s, base_t, wot, iot):
+    """beta*transport + epsilon*intra with each plan's conditional rows frozen.
+
+    A learned side's marginal moves to normalize_weights(raw); every plan row
+    (column, for the target side of the cross-domain plan) keeps its shape
+    and is rescaled to its atom's new mass, and the value is that plan's cost.
+    """
+    p_s = normalize_weights(raw_s).normalized
+    p_t = normalize_weights(raw_t).normalized
+    coupling = wot.coupling
+    if plan.source_marginal == LEARNED:
+        coupling = coupling * (p_s / base_s.normalized)[:, None]
+    if plan.target_marginal == LEARNED:
+        coupling = coupling * (p_t / base_t.normalized)[None, :]
+    value = plan.beta * ot.coupling_cost(coupling, wot.cost)
+    if plan.use_iot:
+        marginal, base = (p_s, base_s) if plan.iot_domain == "source" else (p_t, base_t)
+        iot_coupling = iot.coupling * (marginal / base.normalized)[:, None]
+        value += plan.epsilon * ot.coupling_cost(iot_coupling, iot.cost)
+    return value
+
+
 class TestLossBackward:
     def setup_case(self, setting, seed, n_s=5, n_t=4, dim=6):
         rng = np.random.default_rng(seed)
@@ -307,6 +329,36 @@ class TestLossBackward:
     def test_feature_gradients_match_fd_csda(self):
         for seed in (7, 8):
             self.check_feature_fd("csda", seed)
+
+    @pytest.mark.parametrize("setting, seed", [("pda", 11), ("osda", 12), ("unida", 13)])
+    def test_raw_weight_gradients_match_fd_of_frozen_rows(self, setting, seed):
+        plan, fs, ft, ws, wt, wot, partial, iot = self.setup_case(setting, seed, n_s=12, n_t=10)
+        grads = loss_backward(
+            plan, fs, ft, wot.coupling, wot.cost,
+            partial=partial,
+            source_weights=ws if plan.needs_source_weights else None,
+            target_weights=wt if plan.needs_target_weights else None,
+            iot_coupling=None if iot is None else iot.coupling,
+            iot_cost=None if iot is None else iot.cost,
+        )
+        h = 1e-6
+        checked = 0
+        for weights, grad in ((ws, grads.source_raw), (wt, grads.target_raw)):
+            if grad is None:
+                continue
+            fd = np.zeros_like(weights.raw)
+            for i in range(weights.raw.size):
+                values = []
+                for step in (h, -h):
+                    raw = weights.raw.copy()
+                    raw[i] += step
+                    raw_s, raw_t = (raw, wt.raw) if weights is ws else (ws.raw, raw)
+                    values.append(frozen_rows_objective(plan, raw_s, raw_t, ws, wt, wot, iot))
+                fd[i] = (values[0] - values[1]) / (2 * h)
+            assert np.abs(fd).max() > 1e-4
+            assert np.abs(grad - fd).max() / np.abs(fd).max() <= 1e-6
+            checked += 1
+        assert checked == 2
 
     def test_zero_couplings_give_zero_gradients(self):
         plan, fs, ft, ws, wt, wot, partial, iot = self.setup_case("pda", 9)

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 from iwot import ot
 from iwot.errors import DegenerateInputError
@@ -159,6 +161,78 @@ class TestSolveExact:
             assert -1e-12 <= value <= cost.max() + 1e-12
 
 
+def lp_oracle_value(cost, p1, p2):
+    """Optimal value of the transportation LP with every marginal constraint."""
+    m, n = cost.shape
+    a_eq = sp.vstack([sp.kron(sp.eye(m), np.ones((1, n))), sp.kron(np.ones((1, m)), sp.eye(n))])
+    result = linprog(
+        cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([p1, p2]), bounds=(0, None), method="highs"
+    )
+    assert result.success, result.message
+    return result.fun
+
+
+@pytest.fixture()
+def exact_routes(monkeypatch):
+    """Record which backend each `solve_exact` call reaches: "lp" or "assignment"."""
+    routes = []
+    real_lp, real_assignment = ot.linprog, ot.linear_sum_assignment
+
+    def lp(*args, **kwargs):
+        routes.append("lp")
+        return real_lp(*args, **kwargs)
+
+    def assignment(*args, **kwargs):
+        routes.append("assignment")
+        return real_assignment(*args, **kwargs)
+
+    monkeypatch.setattr(ot, "linprog", lp)
+    monkeypatch.setattr(ot, "linear_sum_assignment", assignment)
+    return routes
+
+
+class TestAssignmentPath:
+    @pytest.mark.parametrize("n", [4, 64, 256])
+    def test_matches_lp_oracle_with_exact_marginals(self, exact_routes, n):
+        rng = np.random.default_rng(n)
+        cost = rng.uniform(0, 2, (n, n))
+        u = np.full(n, 1.0 / n)
+        plan = solve_exact(cost, u, u)
+        assert exact_routes == ["assignment"]
+        assert_allclose(coupling_cost(plan, cost), lp_oracle_value(cost, u, u), rtol=0, atol=1e-12)
+        assert np.isin(plan, [0.0, 1.0 / n]).all()
+        assert (plan.sum(axis=1) == u).all() and (plan.sum(axis=0) == u).all()
+
+    def test_equal_masses_after_removing_zero_atoms(self, exact_routes):
+        # square and uniform once the zero-mass atoms are gone: still an assignment
+        cost = np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
+        p1 = np.array([0.5, 0.0, 0.5])
+        p2 = np.array([0.5, 0.5])
+        plan = solve_exact(cost, p1, p2)
+        assert exact_routes == ["assignment"]
+        assert_allclose(plan, [[0.0, 0.5], [0.0, 0.0], [0.5, 0.0]], rtol=0, atol=0)
+
+    @pytest.mark.parametrize(
+        "p1, p2",
+        [
+            # non-square, both uniform
+            (np.full(4, 0.25), np.full(5, 0.2)),
+            # square, masses unequal
+            (np.array([0.4, 0.2, 0.2, 0.2]), np.full(4, 0.25)),
+            # square as given; p1 is uniform only once its zero atom is gone,
+            # which leaves a 3x4 problem
+            (np.array([1.0, 1.0, 0.0, 1.0]) / 3.0, np.full(4, 0.25)),
+        ],
+    )
+    def test_other_problems_stay_on_the_lp(self, exact_routes, p1, p2):
+        rng = np.random.default_rng(21)
+        cost = rng.uniform(0, 2, (p1.size, p2.size))
+        plan = solve_exact(cost, p1, p2)
+        assert exact_routes == ["lp"]
+        assert validate_coupling(plan, p1, p2, tol=1e-8).passed
+        assert_allclose(coupling_cost(plan, cost), lp_oracle_value(cost, p1, p2), rtol=0, atol=1e-9)
+
+
 class TestOracleAgreement:
     def test_exact_matches_permutation_enumeration(self):
         rng = np.random.default_rng(10)
@@ -169,7 +243,7 @@ class TestOracleAgreement:
             value = coupling_cost(solve_exact(cost, u, u), cost)
             assert_allclose(value, permutation_transport(cost), rtol=0, atol=1e-8)
 
-    def test_exact_matches_vertex_enumeration(self):
+    def test_exact_matches_vertex_enumeration(self, exact_routes):
         rng = np.random.default_rng(11)
         for _ in range(30):
             m, n = rng.integers(2, 5, size=2)
@@ -177,6 +251,7 @@ class TestOracleAgreement:
             p1, p2 = random_marginal(rng, m), random_marginal(rng, n)
             value = coupling_cost(solve_exact(cost, p1, p2), cost)
             assert_allclose(value, vertex_transport(cost, p1, p2), rtol=0, atol=1e-6)
+        assert exact_routes == ["lp"] * 30
 
     def test_oracles_agree_with_each_other(self):
         rng = np.random.default_rng(12)

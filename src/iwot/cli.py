@@ -312,6 +312,21 @@ def _model_from_checkpoint(path):
     for key in ("setting", "beta", "eta", "epsilon", "split", "input_dim"):
         if key not in meta:
             raise DataFormatError("checkpoint metadata is missing %r" % key)
+    split = meta["split"]
+    if not (
+        isinstance(split, list)
+        and len(split) == 3
+        and all(type(count) is int and count >= 0 for count in split)
+    ):
+        raise DataFormatError("checkpoint metadata 'split' is not three class counts: %r" % (split,))
+    feature_width = networks["feature"].output_dim
+    for name, classes in (("classifier", split[0] + split[1]), ("weight", 1)):
+        net = networks[name]
+        if (net.input_dim, net.output_dim) != (feature_width, classes):
+            raise DataFormatError(
+                "checkpoint network %r maps %d inputs to %d outputs, expected %d to %d"
+                % (name, net.input_dim, net.output_dim, feature_width, classes)
+            )
     model = TrainedModel(networks["feature"], networks["classifier"], networks["weight"])
     plan = plan_for_setting(meta["setting"], meta["beta"], meta["eta"], meta["epsilon"])
     return model, plan, meta
@@ -328,7 +343,7 @@ def cmd_eval(args):
             % (target.dim, model.feature_net.input_dim)
         )
     split = [target.split.n_common, target.split.n_source_private, target.split.n_target_private]
-    if list(meta["split"]) != split:
+    if meta["split"] != split:
         raise ConfigError(
             "dataset split %r does not match the checkpoint's split %r" % (split, meta["split"])
         )

@@ -247,18 +247,25 @@ def _net_to_json(net):
 def _net_from_json(doc, name):
     try:
         activations = doc["activations"]
-        weights, biases = [], []
-        for layer in doc["layers"]:
-            rows, cols = int(layer["rows"]), int(layer["cols"])
-            flat = np.asarray(layer["weight"], dtype=np.float64)
-            if flat.shape != (rows * cols,):
-                raise DataFormatError(
-                    "network %r: weight entry count does not match declared shape" % name
-                )
-            weights.append(flat.reshape(rows, cols))
-            biases.append(np.asarray(layer["bias"], dtype=np.float64))
-    except (KeyError, TypeError) as exc:
+        layers = [
+            (
+                int(layer["rows"]),
+                int(layer["cols"]),
+                np.asarray(layer["weight"], dtype=np.float64),
+                np.asarray(layer["bias"], dtype=np.float64),
+            )
+            for layer in doc["layers"]
+        ]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError("network %r: malformed checkpoint entry (%s)" % (name, exc)) from exc
+    weights, biases = [], []
+    for rows, cols, flat, bias in layers:
+        if rows < 0 or cols < 0 or flat.shape != (rows * cols,):
+            raise DataFormatError(
+                "network %r: weight entry count does not match declared shape" % name
+            )
+        weights.append(flat.reshape(rows, cols))
+        biases.append(bias)
     try:
         return Mlp(weights, biases, activations)
     except ValueError as exc:

@@ -8,9 +8,10 @@ minimizing the Frobenius inner product with the cost.
 whose masses are all equal is an assignment problem (every vertex is a
 permutation matrix times the common mass, Birkhoff-von Neumann), so it is
 solved by `scipy.optimize.linear_sum_assignment` and its marginals hold
-exactly; every other problem is a linear program over sparse equality
-constraints handed to HiGHS, whose marginals hold to HiGHS's primal
-feasibility tolerance.
+exactly; every other problem is the transportation linear program, built
+here as a column-wise HiGHS model and handed straight to HiGHS's dual simplex
+(presolve and output off), whose marginals hold to HiGHS's primal
+feasibility tolerance, 1e-7.
 
 `solve_sinkhorn` is an entropic solver written here directly: Sinkhorn dual
 iterations, optionally warm-started through a geometric regularization
@@ -27,9 +28,11 @@ throughout the package; its gradient with respect to both feature sets is
 provided here so loss code can chain through it.
 """
 
+import functools
+
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
+from scipy.optimize._highspy import _core as highs
 
 from .errors import DegenerateInputError, NumericalError
 from .fileio import atomic_write_text, format_float
@@ -174,17 +177,68 @@ def _restore_support(plan, rows, cols):
     return full
 
 
+@functools.lru_cache(maxsize=4)
+def _transport_matrix(m, n):
+    """Column-wise equality constraints of the m x n transportation LP.
+
+    Column i*n + j (plan entry (i, j)) has a one in row-sum constraint i and
+    in column-sum constraint m + j. The last column-sum constraint is implied
+    by the others (both marginals sum to 1); dropping it keeps the system
+    full-rank, which stops the solver from declaring spurious infeasibility
+    when some marginal entries sit near its feasibility tolerance. The matrix
+    depends only on the shape and is copied into each model, so the matrices
+    of the last four shapes are kept.
+    """
+    index = np.empty((m, n, 2), dtype=np.int32)
+    index[:, :, 0] = np.arange(m)[:, None]
+    index[:, :, 1] = np.arange(m, m + n)
+    index = index.ravel()
+    index = index[index != m + n - 1]
+    # Every column holds two entries except column i*n + n - 1 of each row i,
+    # whose second entry sat in the dropped constraint.
+    col = np.arange(m * n + 1)
+    matrix = highs.HighsSparseMatrix()
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.num_col_ = m * n
+    matrix.num_row_ = m + n - 1
+    matrix.start_ = (2 * col - col // n).astype(np.int32)
+    matrix.index_ = index
+    matrix.value_ = np.ones(index.size)
+    return matrix
+
+
+def _solve_lp(lp):
+    """Run HiGHS's dual simplex on `lp`, presolve and output off.
+
+    Presolve finds nothing to remove in a transportation LP. Returns the
+    status of the run, the model status and the column values; the values
+    mean something only if the run did not fail and the model status is
+    optimal.
+    """
+    options = highs.HighsOptions()
+    options.presolve = "off"
+    options.output_flag = False
+    options.log_to_console = False
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    run_status = solver.run()
+    return run_status, solver.getModelStatus(), solver.getSolution().col_value
+
+
 def solve_exact(cost, p1, p2):
     """Minimum-cost coupling: an optimal vertex of the transportation polytope.
 
     After atoms with zero mass are removed, a square problem whose row and
     column masses all equal one value is solved as an assignment: each matched
     pair carries that mass, so every marginal holds exactly. Any other problem
-    is solved as the transportation LP by HiGHS, and its plan holds the
+    is the transportation LP, handed to HiGHS as a prebuilt column-wise model
+    and solved by its dual simplex without presolve; its plan holds the
     marginals within HiGHS's primal feasibility tolerance, 1e-7, in every row
     and column (usually far closer; negative round-off entries are zeroed).
-    Solver failure raises NumericalError rather than returning a partial
-    answer.
+    A failed HiGHS run or a model status other than optimal raises
+    NumericalError rather than returning a partial answer.
     """
     cost, p1, p2 = _check_problem(cost, p1, p2)
     active_cost, ap1, ap2, rows, cols = _reduce_support(cost, p1, p2)
@@ -194,27 +248,25 @@ def solve_exact(cost, p1, p2):
         plan = np.zeros((m, n))
         plan[linear_sum_assignment(active_cost)] = mass
         return _restore_support(plan, rows, cols)
-    # Row-sum constraints then column-sum constraints, on the vectorized plan.
-    # The last column constraint is implied by the others (both marginals sum
-    # to 1); dropping it keeps the system full-rank, which stops the solver
-    # from declaring spurious infeasibility when some marginal entries sit
-    # near its feasibility tolerance. Presolve finds nothing to remove in a
-    # transportation LP, so it is switched off.
-    row_block = sp.kron(sp.eye(m, format="csr"), np.ones((1, n)), format="csr")
-    col_block = sp.kron(np.ones((1, m)), sp.eye(n, format="csr"), format="csr")
-    a_eq = sp.vstack([row_block, col_block[:-1]], format="csr")
-    b_eq = np.concatenate([ap1, ap2[:-1]])
-    result = linprog(
-        active_cost.ravel(),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-        options={"presolve": False},
-    )
-    if not result.success:
-        raise NumericalError("exact transport LP failed: %s" % result.message)
-    plan = np.where(result.x < 0, 0.0, result.x).reshape(m, n)
+    # Row-sum constraints then column-sum constraints (the last one dropped)
+    # on the vectorized plan, every entry nonnegative.
+    bounds = np.concatenate([ap1, ap2[:-1]])
+    lp = highs.HighsLp()
+    lp.num_col_ = m * n
+    lp.num_row_ = m + n - 1
+    lp.col_cost_ = active_cost.ravel()
+    lp.col_lower_ = np.zeros(m * n)
+    lp.col_upper_ = np.full(m * n, highs.kHighsInf)
+    lp.row_lower_ = bounds
+    lp.row_upper_ = bounds
+    lp.a_matrix_ = _transport_matrix(m, n)
+    run_status, model_status, x = _solve_lp(lp)
+    if run_status == highs.HighsStatus.kError:
+        raise NumericalError("exact transport LP failed: the HiGHS run returned an error")
+    if model_status != highs.HighsModelStatus.kOptimal:
+        raise NumericalError("exact transport LP failed: HiGHS model status %s" % model_status.name)
+    x = np.asarray(x)
+    plan = np.where(x < 0, 0.0, x).reshape(m, n)
     return _restore_support(plan, rows, cols)
 
 

@@ -220,6 +220,44 @@ class TestTrainEval:
         assert err.count("\n") == 1
         assert not os.path.exists(eval_out)
 
+    @pytest.mark.parametrize(
+        "corrupt, needle",
+        [
+            (lambda doc: doc["meta"].update(split=5), "'split'"),
+            (lambda doc: doc["meta"].update(split=[2, "1", 1]), "'split'"),
+            (lambda doc: doc["networks"]["feature"]["layers"][0]["weight"].__setitem__(0, "x"),
+             "'feature'"),
+            # the entry count still matches rows * cols
+            (lambda doc: [layer.update(rows=-layer["rows"], cols=-layer["cols"])
+                          for layer in doc["networks"]["weight"]["layers"]], "'weight'"),
+            # each network valid alone, but the classifier no longer fits the
+            # feature net's output width
+            (lambda doc: doc["networks"]["classifier"]["layers"][0].update(
+                rows=1, weight=doc["networks"]["classifier"]["layers"][0]["weight"][:3]),
+             "'classifier'"),
+        ],
+        ids=["split-int", "split-string-count", "weight-non-numeric", "negative-shape",
+             "networks-mismatched"],
+    )
+    def test_eval_malformed_checkpoint_value_is_io_error(
+        self, generated, tmp_path, capsys, corrupt, needle
+    ):
+        config, out = generated
+        assert run(["train", "--config", config, "--out", out]) == 0
+        doc = json.loads(open(os.path.join(out, "checkpoint.json")).read())
+        corrupt(doc)
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        eval_out = os.path.join(out, "eval")
+        code = run(["eval", "--checkpoint", str(bad),
+                    "--data", os.path.join(out, "target.txt"), "--out", eval_out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input/output error: ") and needle in err
+        assert err.count("\n") == 1
+        assert not os.path.exists(eval_out)
+
 
 class TestOtCheck:
     def test_passes_and_prints(self, capsys):

@@ -5,9 +5,10 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from iwot import ot
-from iwot.errors import DegenerateInputError
+from iwot.errors import DegenerateInputError, NumericalError
 from iwot.ot import (
     cosine_cost,
     cosine_cost_grad,
@@ -176,7 +177,7 @@ def lp_oracle_value(cost, p1, p2):
 def exact_routes(monkeypatch):
     """Record which backend each `solve_exact` call reaches: "lp" or "assignment"."""
     routes = []
-    real_lp, real_assignment = ot.linprog, ot.linear_sum_assignment
+    real_lp, real_assignment = ot._solve_lp, ot.linear_sum_assignment
 
     def lp(*args, **kwargs):
         routes.append("lp")
@@ -186,7 +187,7 @@ def exact_routes(monkeypatch):
         routes.append("assignment")
         return real_assignment(*args, **kwargs)
 
-    monkeypatch.setattr(ot, "linprog", lp)
+    monkeypatch.setattr(ot, "_solve_lp", lp)
     monkeypatch.setattr(ot, "linear_sum_assignment", assignment)
     return routes
 
@@ -231,6 +232,74 @@ class TestAssignmentPath:
         assert exact_routes == ["lp"]
         assert validate_coupling(plan, p1, p2, tol=1e-8).passed
         assert_allclose(coupling_cost(plan, cost), lp_oracle_value(cost, p1, p2), rtol=0, atol=1e-9)
+
+
+def linprog_plan(cost, p1, p2):
+    """The plan of the transportation LP as `scipy.optimize.linprog` solves it
+    with HiGHS, presolve off, on the same constraints `solve_exact` builds."""
+    m, n = cost.shape
+    a_eq = sp.vstack(
+        [
+            sp.kron(sp.eye(m), np.ones((1, n))),
+            sp.kron(np.ones((1, m)), sp.eye(n), format="csr")[:-1],
+        ]
+    )
+    result = linprog(
+        cost.ravel(),
+        A_eq=a_eq,
+        b_eq=np.concatenate([p1, p2[:-1]]),
+        bounds=(0, None),
+        method="highs",
+        options={"presolve": False},
+    )
+    assert result.success, result.message
+    return np.where(result.x < 0, 0.0, result.x).reshape(m, n)
+
+
+class TestLPPath:
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_plan_equals_linprog_on_learned_marginals(self, exact_routes, n):
+        rng = np.random.default_rng(n + 1)
+        cost = rng.uniform(0, 2, (n, n))
+        p1, p2 = random_marginal(rng, n), random_marginal(rng, n)
+        plan = solve_exact(cost, p1, p2)
+        assert exact_routes == ["lp"]
+        assert (plan == linprog_plan(cost, p1, p2)).all()
+
+    def test_plan_equals_linprog_with_a_zero_mass_atom(self, exact_routes):
+        rng = np.random.default_rng(31)
+        cost = rng.uniform(0, 2, (12, 9))
+        p1, p2 = random_marginal(rng, 12), random_marginal(rng, 9)
+        p1[4] = 0.0
+        p1 /= p1.sum()
+        plan = solve_exact(cost, p1, p2)
+        assert exact_routes == ["lp"]
+        rows = p1 > 0
+        expected = np.zeros_like(cost)
+        expected[rows] = linprog_plan(cost[rows], p1[rows], p2)
+        assert (plan == expected).all()
+        assert (plan[4] == 0.0).all()
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda run, model: (highs.HighsStatus.kError, model),
+            lambda run, model: (run, highs.HighsModelStatus.kIterationLimit),
+            lambda run, model: (run, highs.HighsModelStatus.kInfeasible),
+        ],
+        ids=["run-error", "iteration-limit", "infeasible"],
+    )
+    def test_failed_solve_raises_numerical_error(self, monkeypatch, fault):
+        real_lp = ot._solve_lp
+
+        def failing(lp):
+            run_status, model_status, x = real_lp(lp)
+            return (*fault(run_status, model_status), x)
+
+        monkeypatch.setattr(ot, "_solve_lp", failing)
+        rng = np.random.default_rng(32)
+        with pytest.raises(NumericalError, match="exact transport LP failed"):
+            solve_exact(rng.uniform(0, 2, (5, 6)), random_marginal(rng, 5), random_marginal(rng, 6))
 
 
 class TestOracleAgreement:

@@ -379,8 +379,8 @@ def cmd_ot_check(args):
         raise ConfigError("--size must be between 2 and 6")
     if args.instances < 1:
         raise ConfigError("--instances must be at least 1")
-    if args.reg <= 0:
-        raise ConfigError("--reg must be positive")
+    if not (np.isfinite(args.reg) and args.reg > 0):
+        raise ConfigError("--reg must be positive and finite")
     rng = np.random.default_rng(args.seed)
     n = args.size
     uniform = np.full(n, 1.0 / n)

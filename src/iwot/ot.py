@@ -15,13 +15,13 @@ feasibility tolerance, 1e-7.
 
 `solve_sinkhorn` is an entropic solver written here directly: Sinkhorn dual
 iterations, optionally warm-started through a geometric regularization
-schedule so that very small final regularization stays cheap. Each level
-absorbs the current dual potentials into the kernel and, when every absorbed
-exponent is safe to exponentiate in float64, runs plain matrix-vector
-scalings on it (stabilized scaling, Schmitzer 2019); otherwise, as at the
-last levels of a reg around 1e-3, it runs log-sum-exp updates. Atoms with
-zero marginal mass are removed before either solver runs and their
-rows/columns restored as zeros afterwards.
+schedule so that very small final regularization stays cheap. Every level
+runs one loop of stabilized scaling (Schmitzer 2019): matrix-vector scalings
+of a kernel with the dual potentials absorbed. Where that kernel would
+underflow, as at the last levels of a reg around 1e-3, the level starts with
+one log-sum-exp iteration that re-centres the potentials, after which the
+underflowing entries are truncated to zero. Atoms with zero marginal mass are
+removed before either solver runs and restored as zero rows/columns.
 
 Cosine dissimilarity (1 - cosine similarity, range [0, 2]) is the cost used
 throughout the package; its gradient with respect to both feature sets is
@@ -280,15 +280,14 @@ class SinkhornResult:
         self.marginal_error = float(marginal_error)
 
 
-# np.exp of an argument below this is a subnormal double, which is slow to
-# compute; after the peak shift such a term is also below half an ulp of the
-# peak's exp(0) = 1 term, so dropping it does not change the sum.
+# np.exp of an argument below this is a subnormal double, which is slow. In
+# the log-sum-exp helpers such a term (after the peak shift) is below half an
+# ulp of the sum; in a scaling kernel it becomes an exact zero, the kernel
+# truncation of stabilized scaling (Schmitzer 2019).
 _EXP_FLOOR = -708.0
-# Scaling iterations multiply kernel entries exp(a) with |a| <= this bound by
-# scalings in [1/_SCALING_BOUND, _SCALING_BOUND] (about e^115), so every
-# product stays a normal double with a margin of e^140 for the drift within
-# one check interval.
-_KERNEL_EXPONENT_BOUND = 450.0
+# A stage re-centres its potentials first if an absorbed exponent starts below
+# this; the margin above _EXP_FLOOR covers scalings up to _SCALING_BOUND.
+_RECENTRE_BELOW = -600.0
 _SCALING_BOUND = 1e50
 
 
@@ -312,39 +311,23 @@ def _lse_cols(matrix):
     return out
 
 
-def _log_iterations(kernel, log_p1, log_p2, p1, p2, f, g, tol, max_iter, check_every):
-    """Log-domain dual updates; safe for any exponent range, two exps per pass."""
-    iterations = 0
-    error = np.inf
-    while iterations < max_iter:
-        for _ in range(min(check_every, max_iter - iterations)):
-            f = log_p1 - _lse_rows(kernel + g[None, :])
-            g = log_p2 - _lse_cols(kernel + f[:, None])
-            iterations += 1
-        log_plan = kernel + f[:, None] + g[None, :]
-        row_err = np.abs(np.exp(_lse_rows(log_plan)) - p1).max()
-        col_err = np.abs(np.exp(_lse_cols(log_plan)) - p2).max()
-        error = max(row_err, col_err)
-        if error <= tol:
-            break
-    return f, g, iterations, error
+def _scaling_iterations(absorbed, p1, p2, f, g, tol, iterations, max_iter, check_every):
+    """Sinkhorn passes as matrix-vector scalings of the absorbed kernel.
 
-
-def _scaling_iterations(absorbed, p1, p2, f, g, tol, max_iter, check_every):
-    """The same updates as matrix-vector scalings of the absorbed kernel.
-
-    With K = exp(absorbed), absorbed = kernel + f + g, the potentials are
-    f + log u and g + log v; each pass is u = p1 / (K v), v = p2 / (K^T u),
-    and the plan is u K v, so no exp runs inside the loop. Stops early, at a
-    check, when u or v leaves [1/_SCALING_BOUND, _SCALING_BOUND], so that the
-    caller can absorb them into the potentials and rebuild K.
+    With K = exp(absorbed), absorbed = kernel + f + g (overwritten here), the
+    potentials are f + log u and g + log v; each pass is u = p1 / (K v),
+    v = p2 / (K^T u), and the plan is u K v, so no exp runs inside the loop.
+    Counting on from the stage's `iterations` (< max_iter), the marginal error
+    is checked at each multiple of `check_every` and at `max_iter`. Stops
+    early, at a check, when u or v leaves [1/_SCALING_BOUND, _SCALING_BOUND],
+    so that the caller can absorb them into the potentials and rebuild K.
     """
-    kernel = np.exp(absorbed)
+    if absorbed.min() < _EXP_FLOOR:
+        np.putmask(absorbed, absorbed < _EXP_FLOOR, -np.inf)
+    kernel = np.exp(absorbed, out=absorbed)
     kv = kernel.sum(axis=1)
-    iterations = 0
-    error = np.inf
-    while iterations < max_iter:
-        for _ in range(min(check_every, max_iter - iterations)):
+    while True:
+        for _ in range(min(check_every - iterations % check_every, max_iter - iterations)):
             u = p1 / kv
             ktu = u @ kernel
             v = p2 / ktu
@@ -353,7 +336,7 @@ def _scaling_iterations(absorbed, p1, p2, f, g, tol, max_iter, check_every):
         row_err = np.abs(u * kv - p1).max()
         col_err = np.abs(v * ktu - p2).max()
         error = max(row_err, col_err)
-        if error <= tol:
+        if error <= tol or iterations >= max_iter:
             break
         if max(u.max(), v.max()) > _SCALING_BOUND or min(u.min(), v.min()) < 1.0 / _SCALING_BOUND:
             break
@@ -361,31 +344,39 @@ def _scaling_iterations(absorbed, p1, p2, f, g, tol, max_iter, check_every):
 
 
 def _sinkhorn_stage(kernel, log_p1, log_p2, f, g, tol, max_iter, check_every=5):
-    """Dual ascent at one regularization level (kernel = -cost/reg).
+    """Sinkhorn iterations at one regularization level (kernel = -cost/level).
 
-    The potentials are absorbed into the kernel and the stage runs scaling
-    iterations while every absorbed exponent is within
-    +-_KERNEL_EXPONENT_BOUND; otherwise (a small reg, late in annealing) it
-    runs log-domain updates. Both compute the same iterates. Marginal error is
-    measured every few iterations; convergence is geometric so the overshoot
-    is cheaper than checking each pass.
+    One loop serves every level: scaling passes on the kernel with the
+    potentials absorbed, re-absorbed when the scalings leave their bounds. If
+    an absorbed exponent starts below _RECENTRE_BELOW, the stage's first
+    iteration is instead one log-domain update, which re-centres f and g.
+    After any full iteration the absorbed exponents are the log of the plan:
+    for a nonnegative cost all are <= 0, and each row's largest is
+    >= log(p1_i * min p2 / n), so truncating those below _EXP_FLOOR empties
+    no row. This holds at every re-absorption, and the next stage (level / 2)
+    starts from log(plan) - cost/level <= 0, so nothing else is tested. The
+    marginal error is checked every `check_every` iterations of the stage,
+    the re-centring one included, and when the budget runs out.
     """
     p1 = np.exp(log_p1)
     p2 = np.exp(log_p2)
+    absorbed = kernel + f[:, None] + g[None, :]
     iterations = 0
-    error = np.inf
-    while iterations < max_iter and error > tol:
+    if absorbed.min() < _RECENTRE_BELOW:
+        f = log_p1 - _lse_rows(kernel + g[None, :])
+        g = log_p2 - _lse_cols(kernel + f[:, None])
         absorbed = kernel + f[:, None] + g[None, :]
-        if np.abs(absorbed).max() <= _KERNEL_EXPONENT_BOUND:
-            f, g, used, error = _scaling_iterations(
-                absorbed, p1, p2, f, g, tol, max_iter - iterations, check_every
-            )
-        else:
-            f, g, used, error = _log_iterations(
-                kernel, log_p1, log_p2, p1, p2, f, g, tol, max_iter - iterations, check_every
-            )
-        iterations += used
-    return f, g, iterations, error
+        iterations = 1
+        if max_iter == 1:  # the re-centring used the whole budget
+            plan = np.exp(absorbed)
+            return f, g, 1, max(abs(plan.sum(axis=1) - p1).max(), abs(plan.sum(axis=0) - p2).max())
+    while True:
+        f, g, iterations, error = _scaling_iterations(
+            absorbed, p1, p2, f, g, tol, iterations, max_iter, check_every
+        )
+        if error <= tol or iterations >= max_iter:
+            return f, g, iterations, error
+        absorbed = kernel + f[:, None] + g[None, :]
 
 
 def _round_to_polytope(plan, p1, p2):
@@ -411,25 +402,28 @@ def _round_to_polytope(plan, p1, p2):
 def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000, anneal=True):
     """Entropy-regularized coupling via Sinkhorn dual iterations.
 
-    Each regularization level runs scaling iterations on the kernel with the
-    dual potentials absorbed, or log-domain updates where that kernel's
-    exponents are out of float64 range; both produce the same iterates. With
+    Every regularization level runs one scaling loop on the kernel with the
+    dual potentials absorbed, after one log-domain re-centring iteration where
+    that kernel would underflow (see `_sinkhorn_stage`). A cost with negative
+    entries is shifted to a minimum of 0, which changes no entropic plan. With
     `anneal` on, the solver walks a geometric schedule of regularization
-    levels from the cost scale down to `reg`, carrying the dual potentials
-    across levels; this keeps small `reg` values from needing tens of
-    thousands of iterations. The returned plan is projected onto the coupling
-    polytope, so its marginals hold to machine precision regardless of where
-    the iteration stopped; `marginal_error` reports the pre-projection dual
-    residual and `converged` whether it reached `tol` within the budget.
+    levels from the cost scale down to `reg` (positive and finite), carrying
+    the dual potentials across levels; this keeps small `reg` values from
+    needing tens of thousands of iterations. The returned plan is projected
+    onto the coupling polytope, so its marginals hold to machine precision
+    wherever the iteration stopped; `marginal_error` reports the finite
+    pre-projection dual residual and `converged` whether it reached `tol`
+    (nonnegative and finite) within the budget.
     """
     cost, p1, p2 = _check_problem(cost, p1, p2)
-    if reg <= 0:
-        raise ValueError("reg must be positive")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not (np.isfinite(reg) and reg > 0):
+        raise ValueError("reg must be positive and finite")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be nonnegative and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     active_cost, ap1, ap2, rows, cols = _reduce_support(cost, p1, p2)
+    active_cost = active_cost - min(active_cost.min(), 0.0)
     log_p1 = np.log(ap1)
     log_p2 = np.log(ap2)
     f = np.zeros(ap1.size)

@@ -16,7 +16,7 @@ rate) raises NumericalError naming the step; so do solver hard failures.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,6 +52,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for item in fields(self):
+            if item.type is float and not math.isfinite(getattr(self, item.name)):
+                raise ConfigError("%s must be finite" % item.name)
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
         if self.warmup_epochs < 0:

@@ -278,4 +278,5 @@ class TestOtCheck:
         assert run(["ot-check", "--size", "1"]) == 2
 
     def test_bad_reg_rejected(self):
-        assert run(["ot-check", "--reg", "0"]) == 2
+        for reg in ("0", "-1", "nan", "inf"):
+            assert run(["ot-check", "--reg", reg]) == 2, reg

@@ -21,10 +21,6 @@ from iwot.ot import (
 from iwot.reference import permutation_transport, vertex_transport
 
 
-# Taken before any test can replace it with a recording wrapper.
-LOG_DOMAIN_REFERENCE = ot._log_iterations
-
-
 def random_marginal(rng, n):
     raw = rng.uniform(0.1, 1.0, size=n)
     return raw / raw.sum()
@@ -392,13 +388,37 @@ class TestSolveSinkhorn:
         rng = np.random.default_rng(22)
         cost = rng.uniform(0, 2, (6, 6))
         u = np.full(6, 1.0 / 6)
-        result = solve_sinkhorn(cost, u, u, reg=1e-4, tol=1e-12, max_iter=3, anneal=False)
-        assert not result.converged
-        assert result.iterations == 3
+        # At max_iter=1 the re-centring iteration (every exponent starts below
+        # -600 at reg 1e-4) uses the whole budget; its residual is still measured.
+        for max_iter in (3, 1):
+            result = solve_sinkhorn(
+                cost, u, u, reg=1e-4, tol=1e-12, max_iter=max_iter, anneal=False
+            )
+            assert not result.converged
+            assert result.iterations == max_iter
+            assert np.isfinite(result.marginal_error)
 
     def test_invalid_reg_rejected(self):
-        with pytest.raises(ValueError):
-            solve_sinkhorn(np.zeros((2, 2)), np.full(2, 0.5), np.full(2, 0.5), reg=0.0)
+        for reg in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                solve_sinkhorn(np.zeros((2, 2)), np.full(2, 0.5), np.full(2, 0.5), reg=reg)
+
+    def test_invalid_tol_rejected(self):
+        for tol in (-1e-6, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                solve_sinkhorn(np.zeros((2, 2)), np.full(2, 0.5), np.full(2, 0.5), tol=tol)
+
+    def test_negative_cost_solved_as_its_shift(self):
+        # exp(-cost/reg) would overflow here; shifting the cost to a minimum of
+        # 0 changes no entropic plan and keeps every kernel exponent <= 0.
+        rng = np.random.default_rng(24)
+        cost = rng.uniform(-2.0, -1.0, (5, 6))
+        p1, p2 = random_marginal(rng, 5), random_marginal(rng, 6)
+        for anneal in (True, False):
+            result = solve_sinkhorn(cost, p1, p2, reg=1e-3, anneal=anneal)
+            shifted = solve_sinkhorn(cost - cost.min(), p1, p2, reg=1e-3, anneal=anneal)
+            assert np.isfinite(result.marginal_error)
+            assert (result.coupling == shifted.coupling).all()
 
     def test_zero_marginal_entries_give_zero_rows(self):
         rng = np.random.default_rng(23)
@@ -424,9 +444,34 @@ def learned_marginal(rng, n):
     return raw / raw.sum()
 
 
+# Taken before any test can replace them with recording wrappers.
+LSE_ROWS, LSE_COLS = ot._lse_rows, ot._lse_cols
+
+
+def log_domain_stage(kernel, log_p1, log_p2, p1, p2, f, g, tol, max_iter, check_every=5):
+    """Reference for one stage: plain log-sum-exp dual updates, safe for any
+    exponent range, with the marginal error checked where `_sinkhorn_stage`
+    checks it."""
+    iterations = 0
+    error = np.inf
+    while iterations < max_iter:
+        for _ in range(min(check_every, max_iter - iterations)):
+            f = log_p1 - LSE_ROWS(kernel + g[None, :])
+            g = log_p2 - LSE_COLS(kernel + f[:, None])
+            iterations += 1
+        log_plan = kernel + f[:, None] + g[None, :]
+        row_err = np.abs(np.exp(LSE_ROWS(log_plan)) - p1).max()
+        col_err = np.abs(np.exp(LSE_COLS(log_plan)) - p2).max()
+        error = max(row_err, col_err)
+        if error <= tol:
+            break
+    return f, g, iterations, error
+
+
 @pytest.fixture()
 def stage_paths(monkeypatch):
-    """Per `_sinkhorn_stage` call, the iteration paths it ran, in order."""
+    """Per `_sinkhorn_stage` call, what it ran, in order: "recentre" for the
+    log-domain re-centring iteration, "scaling" for each scaling-loop run."""
     stages = []
     real_stage = ot._sinkhorn_stage
 
@@ -435,7 +480,7 @@ def stage_paths(monkeypatch):
         return real_stage(*args, **kwargs)
 
     monkeypatch.setattr(ot, "_sinkhorn_stage", stage)
-    for name, label in (("_scaling_iterations", "scaling"), ("_log_iterations", "log")):
+    for name, label in (("_scaling_iterations", "scaling"), ("_lse_rows", "recentre")):
         real = getattr(ot, name)
 
         def wrapper(*args, _real=real, _label=label):
@@ -458,9 +503,7 @@ class TestSinkhornStages:
             stage_tol = tol if last else max(tol, 1e-3)
             budget = max_iter if last else min(max_iter, 200)
             kernel = -cost / level
-            ref = LOG_DOMAIN_REFERENCE(
-                kernel, log_p1, log_p2, p1, p2, f, g, stage_tol, budget, 5
-            )
+            ref = log_domain_stage(kernel, log_p1, log_p2, p1, p2, f, g, stage_tol, budget)
             got = ot._sinkhorn_stage(kernel, log_p1, log_p2, f, g, stage_tol, budget)
             assert got[2] == ref[2], "iteration counts differ at level %g" % level
             assert (got[3] <= stage_tol) == (ref[3] <= stage_tol)
@@ -498,22 +541,36 @@ class TestSinkhornStages:
         p1, p2 = p1 / p1.sum(), p2 / p2.sum()
         worst_potential, worst_plan = self.compare_with_log_domain(cost, p1, p2, [0.05])
         assert any(paths.count("scaling") > 1 for paths in stage_paths)
-        assert all("log" not in paths for paths in stage_paths)
+        assert all("recentre" not in paths for paths in stage_paths)
         assert worst_potential <= 1e-12 and worst_plan <= 1e-12
         result = solve_sinkhorn(cost, p1, p2, reg=0.05, anneal=False)
         assert result.converged and result.marginal_error <= 1e-6
         assert validate_coupling(result.coupling, p1, p2, tol=1e-15).passed
 
-    def test_small_reg_final_stage_runs_in_log_domain(self, stage_paths):
+    def test_small_reg_stages_run_only_scaling_iterations(self, stage_paths):
+        # At reg 1e-3 the last annealing stages, and an unannealed stage whose
+        # cost row is >= 0.7 everywhere (every exponent in it starting below
+        # -700), begin with one re-centring iteration; everything else is the
+        # scaling loop, with the reference's iteration counts and plans.
         rng = np.random.default_rng(32)
-        for cost in (rng.uniform(0.0, 2.0, (4, 4)),
-                     cosine_cost(rng.normal(size=(64, 16)), rng.normal(size=(64, 16)))):
-            uniform = np.full(cost.shape[0], 1.0 / cost.shape[0])
+        hot_row = rng.uniform(0.0, 2.0, (6, 6))
+        hot_row[2] = rng.uniform(0.7, 2.0, 6)
+        cases = [
+            (rng.uniform(0.0, 2.0, (4, 4)), True),
+            (cosine_cost(rng.normal(size=(64, 16)), rng.normal(size=(64, 16))), True),
+            (hot_row, False),
+        ]
+        for cost, anneal in cases:
+            p1, p2 = learned_marginal(rng, cost.shape[0]), learned_marginal(rng, cost.shape[1])
+            levels = anneal_levels(cost, 1e-3) if anneal else [1e-3]
             stage_paths.clear()
-            solve_sinkhorn(cost, uniform, uniform, reg=1e-3, max_iter=20000)
-            assert len(stage_paths) == len(anneal_levels(cost, 1e-3))
-            assert stage_paths[0][0] == "scaling"
-            assert stage_paths[-1] == ["log"]
+            _, worst_plan = self.compare_with_log_domain(cost, p1, p2, levels)
+            assert worst_plan <= 1e-12
+            assert len(stage_paths) == len(levels)
+            for paths in stage_paths:
+                runs = paths[1:] if paths[0] == "recentre" else paths
+                assert runs and set(runs) == {"scaling"}
+            assert stage_paths[-1][0] == "recentre"
 
     def test_lse_flush_leaves_sums_unchanged(self):
         # Entries 708-745 below their row/column peak have subnormal or zero

@@ -1,5 +1,7 @@
 """Training loop: sampling, determinism, the unsupervised contract, history."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -85,6 +87,15 @@ class TestTrainConfig:
     def test_unknown_solver_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(solver="bfgs")
+
+    @pytest.mark.parametrize("name", [
+        "learning_rate", "momentum", "weight_decay", "weight_lr_scale", "sinkhorn_reg",
+        "sinkhorn_tol",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(**{name: value})
 
 
 class TestTrainContract:

@@ -12,11 +12,11 @@ A run is configured by an INI file with three sections:
                   feature_dim
 
 Unknown sections or keys are rejected with the offending name. `--seed`
-overrides the configured seed. Every subcommand writes its outputs
-atomically and then a manifest (manifest_<command>.json) into the output
-directory recording command, inputs, seed and those outputs, so every file a
-manifest names exists whatever the exit code: a command that fails writes no
-manifest.
+overrides the configured seed; both must be nonnegative. Every subcommand
+writes its outputs atomically and then a manifest (manifest_<command>.json)
+into the output directory recording command, inputs, seed and those outputs,
+so every file a manifest names exists whatever the exit code: a command that
+fails writes no manifest.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
 4 numerical failure.
@@ -24,6 +24,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
 
 import argparse
 import configparser
+import dataclasses
 import json
 import logging
 import os
@@ -140,7 +141,6 @@ class ExperimentConfig:
 
     def __init__(self, parser):
         self.setting = parse_setting(_get(parser, "experiment", "setting", str))
-        self.seed = _get(parser, "experiment", "seed", int, 0)
         self.beta = _get(parser, "experiment", "beta", float, DEFAULT_BETA)
         self.eta = _get(parser, "experiment", "eta", float, DEFAULT_ETA)
         self.epsilon = _get(parser, "experiment", "epsilon", float, DEFAULT_EPSILON)
@@ -184,6 +184,7 @@ class ExperimentConfig:
             feature_dim=_get(parser, "train", "feature_dim", int, TrainConfig.feature_dim),
             seed=_get(parser, "experiment", "seed", int, 0),
         )
+        self.seed = self.train.seed
         self.plan = plan_for_setting(self.setting, self.beta, self.eta, self.epsilon)
 
     def snapshot(self, parser):
@@ -198,8 +199,8 @@ def _load_experiment(path):
 
 def _apply_seed_override(config, args):
     if args.seed is not None:
+        config.train = dataclasses.replace(config.train, seed=args.seed)
         config.seed = args.seed
-        config.train.seed = args.seed
 
 
 def _write_manifest(out_dir, command, seed, inputs, outputs, settings):
@@ -381,6 +382,8 @@ def cmd_ot_check(args):
         raise ConfigError("--instances must be at least 1")
     if not (np.isfinite(args.reg) and args.reg > 0):
         raise ConfigError("--reg must be positive and finite")
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative, got %d" % args.seed)
     rng = np.random.default_rng(args.seed)
     n = args.size
     uniform = np.full(n, 1.0 / n)

@@ -8,10 +8,12 @@ minimizing the Frobenius inner product with the cost.
 whose masses are all equal is an assignment problem (every vertex is a
 permutation matrix times the common mass, Birkhoff-von Neumann), so it is
 solved by `scipy.optimize.linear_sum_assignment` and its marginals hold
-exactly; every other problem is the transportation linear program, built
-here as a column-wise HiGHS model and handed straight to HiGHS's dual simplex
-(presolve and output off), whose marginals hold to HiGHS's primal
-feasibility tolerance, 1e-7.
+exactly. Every other problem is the transportation linear program, solved by
+the shortlist method: HiGHS's dual simplex solves it on each row's and
+column's 16 cheapest arcs plus a north-west-corner staircase, the row duals
+price every other arc, and arcs priced below -1e-9 are added and the LP
+re-solved until none is left; the optimal plan uses at most m + n - 1 arcs,
+nearly all of them cheap. Marginals hold to HiGHS's 1e-7 primal tolerance.
 
 `solve_sinkhorn` is an entropic solver written here directly: Sinkhorn dual
 iterations, optionally warm-started through a geometric regularization
@@ -27,8 +29,6 @@ Cosine dissimilarity (1 - cosine similarity, range [0, 2]) is the cost used
 throughout the package; its gradient with respect to both feature sets is
 provided here so loss code can chain through it.
 """
-
-import functools
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -177,54 +177,58 @@ def _restore_support(plan, rows, cols):
     return full
 
 
-@functools.lru_cache(maxsize=4)
-def _transport_matrix(m, n):
-    """Column-wise equality constraints of the m x n transportation LP.
+# Cheapest arcs per row and column in the first LP; arcs join at reduced cost < -tol.
+_SHORTLIST = 16
+_PRICING_TOL = 1e-9
 
-    Column i*n + j (plan entry (i, j)) has a one in row-sum constraint i and
-    in column-sum constraint m + j. The last column-sum constraint is implied
-    by the others (both marginals sum to 1); dropping it keeps the system
-    full-rank, which stops the solver from declaring spurious infeasibility
-    when some marginal entries sit near its feasibility tolerance. The matrix
-    depends only on the shape and is copied into each model, so the matrices
-    of the last four shapes are kept.
+
+def _shortlist(cost, p1, p2):
+    """Flat mask of the arcs the restricted transportation LP starts with.
+
+    Each row's and each column's _SHORTLIST cheapest arcs (all of them on a
+    shorter side), plus the north-west-corner staircase of m + n - 1 arcs from
+    (0, 0) to (m-1, n-1), which carries a feasible plan: it steps down where a
+    row's cumulative mass runs out before the column's, and right otherwise.
     """
-    index = np.empty((m, n, 2), dtype=np.int32)
-    index[:, :, 0] = np.arange(m)[:, None]
-    index[:, :, 1] = np.arange(m, m + n)
-    index = index.ravel()
-    index = index[index != m + n - 1]
-    # Every column holds two entries except column i*n + n - 1 of each row i,
-    # whose second entry sat in the dropped constraint.
-    col = np.arange(m * n + 1)
-    matrix = highs.HighsSparseMatrix()
-    matrix.format_ = highs.MatrixFormat.kColwise
-    matrix.num_col_ = m * n
-    matrix.num_row_ = m + n - 1
-    matrix.start_ = (2 * col - col // n).astype(np.int32)
-    matrix.index_ = index
-    matrix.value_ = np.ones(index.size)
-    return matrix
+    m, n = cost.shape
+    listed = np.zeros((m, n), dtype=bool)
+    k_row, k_col = min(_SHORTLIST, n), min(_SHORTLIST, m)
+    np.put_along_axis(listed, np.argpartition(cost, k_row - 1, axis=1)[:, :k_row], True, axis=1)
+    np.put_along_axis(listed, np.argpartition(cost, k_col - 1, axis=0)[:k_col], True, axis=0)
+    breaks = np.concatenate([np.cumsum(p1)[:-1], np.cumsum(p2)[:-1]])
+    down = np.argsort(breaks, kind="stable") < m - 1
+    listed[np.append(0, np.cumsum(down)), np.append(0, np.cumsum(~down))] = True
+    return listed.ravel()
 
 
-def _solve_lp(lp):
-    """Run HiGHS's dual simplex on `lp`, presolve and output off.
+def _add_arcs(solver, arcs, cost):
+    """Add plan entries `arcs` (flat indices i*n + j) to the LP as columns.
 
-    Presolve finds nothing to remove in a transportation LP. Returns the
-    status of the run, the model status and the column values; the values
-    mean something only if the run did not fail and the model status is
-    optimal.
+    Column (i, j) has a one in row-sum constraint i and in column-sum
+    constraint m + j, unless j is the last column: that constraint is implied
+    by the others, and leaving it out keeps the system full-rank, so HiGHS
+    declares no spurious infeasibility when marginal entries sit near its
+    feasibility tolerance.
     """
-    options = highs.HighsOptions()
-    options.presolve = "off"
-    options.output_flag = False
-    options.log_to_console = False
-    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    solver = highs._Highs()
-    solver.passOptions(options)
-    solver.passModel(lp)
+    m, n = cost.shape
+    i, j = np.divmod(arcs, n)
+    index = np.stack([i, m + j], axis=1).ravel()
+    index = index[index != m + n - 1].astype(np.int32)
+    start = np.append(0, np.cumsum(np.where(j == n - 1, 1, 2))[:-1]).astype(np.int32)
+    size = arcs.size
+    solver.addCols(size, cost.ravel()[arcs], np.zeros(size), np.full(size, highs.kHighsInf),
+                   index.size, start, index, np.ones(index.size))
+
+
+def _solve_lp(solver):
+    """Run HiGHS on the model in `solver`: every pass of every LP solve.
+
+    Returns the run status, the model status, the solution (column values and
+    row duals) and the run's info; the last two mean something only if the
+    run did not fail and the model status is optimal.
+    """
     run_status = solver.run()
-    return run_status, solver.getModelStatus(), solver.getSolution().col_value
+    return run_status, solver.getModelStatus(), solver.getSolution(), solver.getInfo()
 
 
 def solve_exact(cost, p1, p2):
@@ -233,12 +237,17 @@ def solve_exact(cost, p1, p2):
     After atoms with zero mass are removed, a square problem whose row and
     column masses all equal one value is solved as an assignment: each matched
     pair carries that mass, so every marginal holds exactly. Any other problem
-    is the transportation LP, handed to HiGHS as a prebuilt column-wise model
-    and solved by its dual simplex without presolve; its plan holds the
-    marginals within HiGHS's primal feasibility tolerance, 1e-7, in every row
-    and column (usually far closer; negative round-off entries are zeroed).
-    A failed HiGHS run or a model status other than optimal raises
-    NumericalError rather than returning a partial answer.
+    is the transportation LP, solved by the shortlist method (Gottschlich &
+    Schuhmacher 2014): HiGHS's dual simplex, presolve and output off, solves
+    it on the arcs `_shortlist` picks; every unlisted arc (i, j) is priced
+    with the row duals as c_ij - u_i - v_j (v is 0 for the dropped column),
+    arcs below -1e-9 join the same model, and it is solved again (cold, if the
+    warm pass ends primal infeasible) until none is left, so the plan is
+    optimal for the full LP. It holds the marginals
+    within HiGHS's primal feasibility tolerance, 1e-7 (usually far closer;
+    negative round-off entries are zeroed). A failed HiGHS run or a model
+    status other than optimal, on any pass, raises NumericalError rather
+    than returning a partial answer.
     """
     cost, p1, p2 = _check_problem(cost, p1, p2)
     active_cost, ap1, ap2, rows, cols = _reduce_support(cost, p1, p2)
@@ -248,26 +257,41 @@ def solve_exact(cost, p1, p2):
         plan = np.zeros((m, n))
         plan[linear_sum_assignment(active_cost)] = mass
         return _restore_support(plan, rows, cols)
-    # Row-sum constraints then column-sum constraints (the last one dropped)
-    # on the vectorized plan, every entry nonnegative.
+    options = highs.HighsOptions()
+    options.presolve = "off"  # it finds nothing to remove in a transportation LP
+    options.output_flag = False
+    options.log_to_console = False
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    solver = highs._Highs()
+    solver.passOptions(options)
+    # Row-sum constraints then column-sum constraints (the last one dropped).
     bounds = np.concatenate([ap1, ap2[:-1]])
-    lp = highs.HighsLp()
-    lp.num_col_ = m * n
-    lp.num_row_ = m + n - 1
-    lp.col_cost_ = active_cost.ravel()
-    lp.col_lower_ = np.zeros(m * n)
-    lp.col_upper_ = np.full(m * n, highs.kHighsInf)
-    lp.row_lower_ = bounds
-    lp.row_upper_ = bounds
-    lp.a_matrix_ = _transport_matrix(m, n)
-    run_status, model_status, x = _solve_lp(lp)
-    if run_status == highs.HighsStatus.kError:
-        raise NumericalError("exact transport LP failed: the HiGHS run returned an error")
-    if model_status != highs.HighsModelStatus.kOptimal:
-        raise NumericalError("exact transport LP failed: HiGHS model status %s" % model_status.name)
-    x = np.asarray(x)
-    plan = np.where(x < 0, 0.0, x).reshape(m, n)
-    return _restore_support(plan, rows, cols)
+    solver.addRows(bounds.size, bounds, bounds, 0, np.zeros(bounds.size, np.int32), [], [])
+    listed = _shortlist(active_cost, ap1, ap2)
+    arcs = new = np.flatnonzero(listed)
+    while new.size:
+        _add_arcs(solver, new, active_cost)
+        run_status, status, solution, info = _solve_lp(solver)
+        if new.size < arcs.size and info.max_primal_infeasibility > 0:
+            # A re-solve starts from a basis the new columns make dual
+            # infeasible, and HiGHS's clean-up may then stop up to 1e-7 off the
+            # marginals; such a pass is run again cold, as a first pass is.
+            solver.clearSolver()
+            run_status, status, solution, info = _solve_lp(solver)
+        if run_status == highs.HighsStatus.kError:
+            raise NumericalError("exact transport LP failed: the HiGHS run returned an error")
+        if status != highs.HighsModelStatus.kOptimal:
+            raise NumericalError("exact transport LP failed: HiGHS model status %s" % status.name)
+        duals = np.asarray(solution.row_dual)
+        reduced = active_cost - duals[:m, None]
+        reduced[:, :-1] -= duals[m:]
+        new = np.flatnonzero((reduced.ravel() < -_PRICING_TOL) & ~listed)
+        listed[new] = True
+        arcs = np.concatenate([arcs, new])
+    x = np.asarray(solution.col_value)
+    plan = np.zeros(m * n)
+    plan[arcs] = np.where(x < 0, 0.0, x)
+    return _restore_support(plan.reshape(m, n), rows, cols)
 
 
 class SinkhornResult:

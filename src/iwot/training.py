@@ -81,6 +81,8 @@ class TrainConfig:
             raise ConfigError("sinkhorn_max_iter must be at least 1")
         if self.hidden_dim < 1 or self.feature_dim < 1:
             raise ConfigError("network widths must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative, got %d" % self.seed)
 
 
 @dataclass

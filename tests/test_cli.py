@@ -114,6 +114,19 @@ class TestGenerate:
         config = write_config(tmp_path, bad)
         assert run(["generate", "--config", config, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "text, extra",
+        [(BASE_CONFIG, ["--seed", "-1"]), (BASE_CONFIG.replace("seed = 0", "seed = -5"), [])],
+        ids=["override", "config"],
+    )
+    def test_negative_seed_rejected(self, tmp_path, capsys, text, extra):
+        config = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert run(["generate", "--config", config, "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "seed" in err and err.count("\n") == 1
+        assert not out.exists() or os.listdir(out) == []
+
 
 class TestTrainEval:
     @pytest.fixture()
@@ -140,6 +153,19 @@ class TestTrainEval:
         for r in history.records:
             recombined = r.classification + beta * r.transport + eta * r.separation + epsilon * r.intra
             assert abs(r.total - recombined) <= 1e-10
+
+    @pytest.mark.parametrize("seed_line", ["seed = -5", None], ids=["config", "override"])
+    def test_train_negative_seed_rejected(self, generated, tmp_path, capsys, seed_line):
+        config, out = generated
+        extra = ["--seed", "-1"]
+        if seed_line is not None:
+            config = write_config(tmp_path, BASE_CONFIG.replace("seed = 0", seed_line), "neg.ini")
+            extra = []
+        assert run(["train", "--config", config, "--out", out, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "seed" in err and err.count("\n") == 1
+        for name in ("manifest_train.json", "checkpoint.json", "history.csv"):
+            assert not os.path.exists(os.path.join(out, name))
 
     def test_train_missing_dataset_is_io_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -280,3 +306,9 @@ class TestOtCheck:
     def test_bad_reg_rejected(self):
         for reg in ("0", "-1", "nan", "inf"):
             assert run(["ot-check", "--reg", reg]) == 2, reg
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "otc"
+        assert run(["ot-check", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: --seed must be nonnegative, got -1\n"
+        assert not out.exists()

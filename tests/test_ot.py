@@ -1,5 +1,7 @@
 """Transport solvers: cost construction, exact/entropic solves, oracle agreement."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -171,7 +173,8 @@ def lp_oracle_value(cost, p1, p2):
 
 @pytest.fixture()
 def exact_routes(monkeypatch):
-    """Record which backend each `solve_exact` call reaches: "lp" or "assignment"."""
+    """Record which backend each `solve_exact` call reaches: "assignment" once,
+    or "lp" once per HiGHS pass."""
     routes = []
     real_lp, real_assignment = ot._solve_lp, ot.linear_sum_assignment
 
@@ -287,15 +290,127 @@ class TestLPPath:
     )
     def test_failed_solve_raises_numerical_error(self, monkeypatch, fault):
         real_lp = ot._solve_lp
+        passes = []
 
-        def failing(lp):
-            run_status, model_status, x = real_lp(lp)
-            return (*fault(run_status, model_status), x)
+        def failing(solver):
+            run_status, model_status, solution, info = real_lp(solver)
+            passes.append(solver.getNumCol())
+            if len(passes) == fail_on:
+                return (*fault(run_status, model_status), solution, info)
+            return run_status, model_status, solution, info
 
         monkeypatch.setattr(ot, "_solve_lp", failing)
         rng = np.random.default_rng(32)
-        with pytest.raises(NumericalError, match="exact transport LP failed"):
-            solve_exact(rng.uniform(0, 2, (5, 6)), random_marginal(rng, 5), random_marginal(rng, 6))
+        instances = [
+            # the first pass fails
+            (1, rng.uniform(0, 2, (5, 6)), random_marginal(rng, 5), random_marginal(rng, 6)),
+            # the re-solve after pricing added columns fails
+            (2, *heavy_row_instance()),
+        ]
+        for fail_on, cost, p1, p2 in instances:
+            passes.clear()
+            with pytest.raises(NumericalError, match="exact transport LP failed"):
+                solve_exact(cost, p1, p2)
+            assert len(passes) == fail_on
+        assert passes[1] > passes[0]
+
+
+def heavy_row_instance(n=64):
+    """One source atom of mass 0.5 against a uniform target: that row must
+    spread over at least n/2 columns, more than its shortlist of 16."""
+    rng = np.random.default_rng(41)
+    p1 = np.full(n, 0.5 / (n - 1))
+    p1[7] = 0.5
+    return rng.uniform(0, 2, (n, n)), p1, np.full(n, 1.0 / n)
+
+
+class TestShortlistPricing:
+    def test_optimum_needs_arcs_outside_the_shortlist(self, exact_routes):
+        cost, p1, p2 = heavy_row_instance()
+        plan = solve_exact(cost, p1, p2)
+        assert len(exact_routes) > 1  # pricing added arcs and re-solved
+        assert (plan[7] > 0).sum() > ot._SHORTLIST
+        assert (plan.ravel()[~ot._shortlist(cost, p1, p2)] > 0).any()
+        assert validate_coupling(plan, p1, p2, tol=1e-8).passed
+        assert_allclose(coupling_cost(plan, cost), lp_oracle_value(cost, p1, p2), rtol=0, atol=1e-9)
+
+    def test_infeasible_re_solve_runs_again_cold(self, monkeypatch):
+        # A warm re-solve can end a few 1e-8 off a marginal (seen on one of
+        # 300 training LPs); the pass is then run again without its basis.
+        real_lp = ot._solve_lp
+        passes = []
+
+        def reporting_infeasible(solver):
+            run_status, model_status, solution, info = real_lp(solver)
+            passes.append((solver.getNumCol(), info.simplex_iteration_count))
+            if len(passes) == 2:
+                info = SimpleNamespace(max_primal_infeasibility=3.6e-8)
+            return run_status, model_status, solution, info
+
+        cost, p1, p2 = heavy_row_instance()
+        expected = solve_exact(cost, p1, p2)
+        monkeypatch.setattr(ot, "_solve_lp", reporting_infeasible)
+        plan = solve_exact(cost, p1, p2)
+        assert passes[2][0] == passes[1][0] > passes[0][0]
+        assert passes[2][1] > 0
+        assert_allclose(plan, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 30), (30, 1), (20, 30), (30, 20)])
+    def test_pricing_from_a_one_arc_shortlist(self, monkeypatch, exact_routes, shape):
+        # With one cheapest arc per row and column, the staircase alone keeps
+        # the first LP feasible and pricing must find most of the optimum.
+        monkeypatch.setattr(ot, "_SHORTLIST", 1)
+        rng = np.random.default_rng(sum(shape))
+        cost = rng.uniform(0, 2, shape)
+        p1, p2 = random_marginal(rng, shape[0]), random_marginal(rng, shape[1])
+        listed = ot._shortlist(cost, p1, p2).reshape(shape)
+        assert listed[0, 0] and listed[-1, -1]
+        assert listed.sum() <= 2 * sum(shape) - 1
+        plan = solve_exact(cost, p1, p2)
+        assert validate_coupling(plan, p1, p2, tol=1e-8).passed
+        assert_allclose(coupling_cost(plan, cost), lp_oracle_value(cost, p1, p2), rtol=0, atol=1e-9)
+        if min(shape) > 1:
+            assert len(exact_routes) > 1
+
+    @pytest.mark.parametrize("shape", [(5, 40), (40, 5)])
+    def test_rectangular_problems_with_a_short_side(self, exact_routes, shape):
+        rng = np.random.default_rng(shape[0])
+        cost = rng.uniform(0, 2, shape)
+        p1, p2 = random_marginal(rng, shape[0]), random_marginal(rng, shape[1])
+        plan = solve_exact(cost, p1, p2)
+        assert set(exact_routes) == {"lp"}
+        assert validate_coupling(plan, p1, p2, tol=1e-8).passed
+        assert_allclose(coupling_cost(plan, cost), lp_oracle_value(cost, p1, p2), rtol=0, atol=1e-9)
+
+    def test_zero_mass_atom_and_tiny_marginal_entry(self):
+        rng = np.random.default_rng(43)
+        cost = rng.uniform(0, 2, (30, 40))
+        p1, p2 = random_marginal(rng, 30), random_marginal(rng, 40)
+        p1[3] = 0.0
+        p1[11] = 1e-9
+        p1 /= p1.sum()
+        p2[25] = 1e-9
+        p2 /= p2.sum()
+        plan = solve_exact(cost, p1, p2)
+        assert (plan[3] == 0.0).all()
+        assert validate_coupling(plan, p1, p2, tol=1e-8).passed
+        assert_allclose(plan[11].sum(), p1[11], rtol=0, atol=1e-12)
+        assert_allclose(plan[:, 25].sum(), p2[25], rtol=0, atol=1e-12)
+        assert_allclose(coupling_cost(plan, cost), lp_oracle_value(cost, p1, p2), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n, count", [(24, 6), (64, 4), (256, 1)])
+    def test_learned_marginals_on_cosine_costs_match_the_oracle(self, n, count):
+        # training's problems: a learned marginal against uniform, or two
+        # learned marginals, on the cosine cost of low-dimensional features
+        rng = np.random.default_rng(n + 2)
+        for index in range(count):
+            cost = cosine_cost(rng.normal(size=(n, 8)), rng.normal(size=(n, 8)) + 0.5)
+            p1 = random_marginal(rng, n)
+            p2 = random_marginal(rng, n) if index % 2 else np.full(n, 1.0 / n)
+            plan = solve_exact(cost, p1, p2)
+            assert validate_coupling(plan, p1, p2, tol=1e-8).passed
+            value = lp_oracle_value(cost, p1, p2)
+            assert_allclose(coupling_cost(plan, cost), value, rtol=0, atol=1e-9)
 
 
 class TestOracleAgreement:

@@ -88,6 +88,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(solver="bfgs")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=-1)
+        assert TrainConfig(seed=0).seed == 0
+
     @pytest.mark.parametrize("name", [
         "learning_rate", "momentum", "weight_decay", "weight_lr_scale", "sinkhorn_reg",
         "sinkhorn_tol",

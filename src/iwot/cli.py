@@ -1,15 +1,14 @@
 """Command-line entry points: generate, train, eval, ot-check.
 
-A run is configured by an INI file with three sections:
+A run is configured by an INI file with three sections. Each section's keys
+are the fields of the dataclasses named here; a field without a default is a
+required key:
 
-    [experiment]  setting (unida|pda|osda|csda), seed, beta, eta, epsilon
-    [data]        n_common, n_source_private, n_target_private (required),
-                  dim, n_source, n_target, spread, rotation, translation
-                  (single value or comma list), noise_std
-    [train]       epochs, warmup_epochs, batch_size, learning_rate, momentum,
-                  weight_decay, weight_lr_scale, solver (exact|sinkhorn),
-                  sinkhorn_reg, sinkhorn_tol, sinkhorn_max_iter, hidden_dim,
-                  feature_dim
+    [experiment]  ExperimentSpec: setting (unida|pda|osda|csda), seed, beta,
+                  eta, epsilon
+    [data]        LabelSplit, DataSize and ShiftSpec (translation is a single
+                  value or a comma list)
+    [train]       TrainConfig, except seed, which lives only in [experiment]
 
 Unknown sections or keys are rejected with the offending name. `--seed`
 overrides the configured seed; both must be nonnegative. Every subcommand
@@ -24,12 +23,12 @@ Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
 
 import argparse
 import configparser
-import dataclasses
 import json
 import logging
 import os
 import sys
 import time
+from dataclasses import MISSING, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -68,38 +67,40 @@ HISTORY_FILE = "history.csv"
 REPORT_JSON = "report.json"
 REPORT_CSV = "report.csv"
 
-_REQUIRED = object()
 
-_KNOWN_KEYS = {
-    "experiment": {"setting", "seed", "beta", "eta", "epsilon"},
-    "data": {
-        "dim",
-        "n_source",
-        "n_target",
-        "n_common",
-        "n_source_private",
-        "n_target_private",
-        "spread",
-        "rotation",
-        "translation",
-        "noise_std",
-    },
-    "train": {
-        "epochs",
-        "warmup_epochs",
-        "batch_size",
-        "learning_rate",
-        "momentum",
-        "weight_decay",
-        "weight_lr_scale",
-        "solver",
-        "sinkhorn_reg",
-        "sinkhorn_tol",
-        "sinkhorn_max_iter",
-        "hidden_dim",
-        "feature_dim",
-    },
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """The [experiment] section: the setting, its loss weights and the run's seed."""
+
+    setting: str
+    seed: int = 0
+    beta: float = DEFAULT_BETA
+    eta: float = DEFAULT_ETA
+    epsilon: float = DEFAULT_EPSILON
+
+
+@dataclass(frozen=True)
+class DataSize:
+    """The [data] keys beside the label split and the shift: width and sample counts."""
+
+    dim: int = 8
+    n_source: int = 600
+    n_target: int = 600
+
+
+# Each section's keys are the fields of its dataclasses.
+_SECTIONS = {
+    "experiment": (ExperimentSpec,),
+    "data": (LabelSplit, DataSize, ShiftSpec),
+    "train": (TrainConfig,),
 }
+# Field types whose constructor does not parse their INI text: a comma list.
+_CASTS = {tuple: lambda raw: tuple(float(part) for part in raw.split(","))}
+
+
+def _keys(cls):
+    """The fields of `cls` read from the INI file; TrainConfig's seed is [experiment]'s."""
+    return [item for item in fields(cls) if not (cls is TrainConfig and item.name == "seed")]
 
 
 def _load_ini(path):
@@ -112,95 +113,56 @@ def _load_ini(path):
     except configparser.Error as exc:
         raise ConfigError("config file %s is not valid INI: %s" % (path, exc)) from exc
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError("unknown config section [%s]" % section)
+        known = {item.name for cls in _SECTIONS[section] for item in _keys(cls)}
         for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
+            if key not in known:
                 raise ConfigError("unknown config key [%s] %s" % (section, key))
     return parser
 
 
-def _get(parser, section, key, cast, default=_REQUIRED):
-    if not parser.has_option(section, key):
-        if default is _REQUIRED:
-            raise ConfigError("[%s] %s is required" % (section, key))
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except (ValueError, TypeError):
-        raise ConfigError("[%s] %s: cannot parse %r" % (section, key, raw)) from None
-
-
-def _parse_translation(raw):
-    return tuple(float(part) for part in raw.split(","))
+def _build(parser, section, cls, **preset):
+    """`cls` from its keys in `section`: a field without a default is required."""
+    values = dict(preset)
+    for item in _keys(cls):
+        if not parser.has_option(section, item.name):
+            if item.default is MISSING:
+                raise ConfigError("[%s] %s is required" % (section, item.name))
+            continue
+        raw = parser.get(section, item.name)
+        try:
+            values[item.name] = _CASTS.get(item.type, item.type)(raw)
+        except (ValueError, TypeError):
+            raise ConfigError("[%s] %s: cannot parse %r" % (section, item.name, raw)) from None
+    return cls(**values)
 
 
 class ExperimentConfig:
     """Typed view of one INI file: setting plan inputs, data recipe, train knobs."""
 
     def __init__(self, parser):
-        self.setting = parse_setting(_get(parser, "experiment", "setting", str))
-        self.beta = _get(parser, "experiment", "beta", float, DEFAULT_BETA)
-        self.eta = _get(parser, "experiment", "eta", float, DEFAULT_ETA)
-        self.epsilon = _get(parser, "experiment", "epsilon", float, DEFAULT_EPSILON)
-
-        self.split = LabelSplit(
-            _get(parser, "data", "n_common", int),
-            _get(parser, "data", "n_source_private", int),
-            _get(parser, "data", "n_target_private", int),
+        experiment = _build(parser, "experiment", ExperimentSpec)
+        self.setting = parse_setting(experiment.setting)
+        self.split = _build(parser, "data", LabelSplit)
+        self.size = _build(parser, "data", DataSize)
+        self.shift = _build(parser, "data", ShiftSpec)
+        self.train = _build(parser, "train", TrainConfig, seed=experiment.seed)
+        self.plan = plan_for_setting(
+            self.setting, experiment.beta, experiment.eta, experiment.epsilon
         )
-        self.dim = _get(parser, "data", "dim", int, 8)
-        self.n_source = _get(parser, "data", "n_source", int, 600)
-        self.n_target = _get(parser, "data", "n_target", int, 600)
-        self.shift = ShiftSpec(
-            rotation=_get(parser, "data", "rotation", float, ShiftSpec.rotation),
-            translation=_get(parser, "data", "translation", _parse_translation, ShiftSpec.translation),
-            noise_std=_get(parser, "data", "noise_std", float, ShiftSpec.noise_std),
-            spread=_get(parser, "data", "spread", float, ShiftSpec.spread),
-        )
-
-        self.train = TrainConfig(
-            epochs=_get(parser, "train", "epochs", int, TrainConfig.epochs),
-            warmup_epochs=_get(
-                parser, "train", "warmup_epochs", int, TrainConfig.warmup_epochs
-            ),
-            batch_size=_get(parser, "train", "batch_size", int, TrainConfig.batch_size),
-            learning_rate=_get(
-                parser, "train", "learning_rate", float, TrainConfig.learning_rate
-            ),
-            momentum=_get(parser, "train", "momentum", float, TrainConfig.momentum),
-            weight_decay=_get(parser, "train", "weight_decay", float, TrainConfig.weight_decay),
-            weight_lr_scale=_get(
-                parser, "train", "weight_lr_scale", float, TrainConfig.weight_lr_scale
-            ),
-            solver=_get(parser, "train", "solver", str, TrainConfig.solver),
-            sinkhorn_reg=_get(parser, "train", "sinkhorn_reg", float, TrainConfig.sinkhorn_reg),
-            sinkhorn_tol=_get(parser, "train", "sinkhorn_tol", float, TrainConfig.sinkhorn_tol),
-            sinkhorn_max_iter=_get(
-                parser, "train", "sinkhorn_max_iter", int, TrainConfig.sinkhorn_max_iter
-            ),
-            hidden_dim=_get(parser, "train", "hidden_dim", int, TrainConfig.hidden_dim),
-            feature_dim=_get(parser, "train", "feature_dim", int, TrainConfig.feature_dim),
-            seed=_get(parser, "experiment", "seed", int, 0),
-        )
-        self.seed = self.train.seed
-        self.plan = plan_for_setting(self.setting, self.beta, self.eta, self.epsilon)
-
-    def snapshot(self, parser):
-        return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
 def _load_experiment(path):
+    """The typed config of an INI file and a snapshot of its raw sections."""
     parser = _load_ini(path)
-    config = ExperimentConfig(parser)
-    return config, config.snapshot(parser)
+    snapshot = {section: dict(parser.items(section)) for section in parser.sections()}
+    return ExperimentConfig(parser), snapshot
 
 
 def _apply_seed_override(config, args):
     if args.seed is not None:
-        config.train = dataclasses.replace(config.train, seed=args.seed)
-        config.seed = args.seed
+        config.train = replace(config.train, seed=args.seed)
 
 
 def _write_manifest(out_dir, command, seed, inputs, outputs, settings):
@@ -229,10 +191,10 @@ def cmd_generate(args):
     check_split_for_setting(config.split, config.setting)
     source, target = generate_pair(
         config.split,
-        config.n_source,
-        config.n_target,
-        config.dim,
-        config.seed,
+        config.size.n_source,
+        config.size.n_target,
+        config.size.dim,
+        config.train.seed,
         shift=config.shift,
     )
     _ensure_out_dir(args.out)
@@ -241,7 +203,7 @@ def cmd_generate(args):
     _write_manifest(
         args.out,
         "generate",
-        config.seed,
+        config.train.seed,
         inputs=[os.path.abspath(args.config)],
         outputs=[SOURCE_FILE, TARGET_FILE],
         settings=snapshot,
@@ -271,13 +233,9 @@ def cmd_train(args):
         "beta": config.plan.beta,
         "eta": config.plan.eta,
         "epsilon": config.plan.epsilon,
-        "split": [
-            config.split.n_common,
-            config.split.n_source_private,
-            config.split.n_target_private,
-        ],
+        "split": list(astuple(config.split)),
         "input_dim": source.dim,
-        "seed": config.seed,
+        "seed": config.train.seed,
     }
     _ensure_out_dir(args.out)
     save_checkpoint(
@@ -293,7 +251,7 @@ def cmd_train(args):
     _write_manifest(
         args.out,
         "train",
-        config.seed,
+        config.train.seed,
         inputs=[os.path.abspath(p) for p in (args.config, source_path, target_path)],
         outputs=[CHECKPOINT_FILE, HISTORY_FILE],
         settings=snapshot,
@@ -320,6 +278,12 @@ def _model_from_checkpoint(path):
         and all(type(count) is int and count >= 0 for count in split)
     ):
         raise DataFormatError("checkpoint metadata 'split' is not three class counts: %r" % (split,))
+    input_dim = meta["input_dim"]
+    if type(input_dim) is not int or input_dim != networks["feature"].input_dim:
+        raise DataFormatError(
+            "checkpoint metadata 'input_dim' %r is not the feature network's input width %d"
+            % (input_dim, networks["feature"].input_dim)
+        )
     feature_width = networks["feature"].output_dim
     for name, classes in (("classifier", split[0] + split[1]), ("weight", 1)):
         net = networks[name]
@@ -329,7 +293,10 @@ def _model_from_checkpoint(path):
                 % (name, net.input_dim, net.output_dim, feature_width, classes)
             )
     model = TrainedModel(networks["feature"], networks["classifier"], networks["weight"])
-    plan = plan_for_setting(meta["setting"], meta["beta"], meta["eta"], meta["epsilon"])
+    try:
+        plan = plan_for_setting(meta["setting"], meta["beta"], meta["eta"], meta["epsilon"])
+    except ConfigError as exc:
+        raise DataFormatError("checkpoint metadata: %s" % exc) from None
     return model, plan, meta
 
 
@@ -343,7 +310,7 @@ def cmd_eval(args):
             "dataset dimension %d does not match the checkpoint's input width %d"
             % (target.dim, model.feature_net.input_dim)
         )
-    split = [target.split.n_common, target.split.n_source_private, target.split.n_target_private]
+    split = list(astuple(target.split))
     if meta["split"] != split:
         raise ConfigError(
             "dataset split %r does not match the checkpoint's split %r" % (split, meta["split"])
@@ -369,7 +336,7 @@ def cmd_eval(args):
         settings={"setting": meta["setting"]},
     )
     for key, value in report.to_dict().items():
-        if key == "per_class_acc":
+        if isinstance(value, dict):  # the per-class accuracies
             continue
         print("%s: %s" % (key, "n/a" if value is None else value))
     return EXIT_OK

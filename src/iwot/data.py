@@ -27,7 +27,7 @@ source label set. The loader is byte-strict and reports the offending line.
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -50,10 +50,10 @@ class LabelSplit:
     n_target_private: int
 
     def __post_init__(self):
-        for name in ("n_common", "n_source_private", "n_target_private"):
-            value = getattr(self, name)
+        for item in fields(self):
+            value = getattr(self, item.name)
             if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError("%s must be an integer" % name)
+                raise ConfigError("%s must be an integer" % item.name)
         if self.n_common < 1:
             raise ConfigError("at least one common class is required")
         if self.n_source_private < 0 or self.n_target_private < 0:
@@ -248,8 +248,7 @@ def save_dataset(path, dataset):
         FORMAT_LINE,
         "role %s" % dataset.role,
         "dim %d" % dataset.dim,
-        "split %d %d %d"
-        % (dataset.split.n_common, dataset.split.n_source_private, dataset.split.n_target_private),
+        "split %d %d %d" % astuple(dataset.split),
         "seed %d" % dataset.seed,
         "count %d" % dataset.n,
     ]

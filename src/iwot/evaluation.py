@@ -22,7 +22,7 @@ assignment, and its marginals hold exactly.
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -105,18 +105,9 @@ class EvalReport:
     wasserstein_learned: float | None = None
 
     def to_dict(self):
-        return {
-            "n_common": self.n_common,
-            "n_evaluated": self.n_evaluated,
-            "per_class_acc": {str(k): v for k, v in sorted(self.per_class_acc.items())},
-            "common_acc": self.common_acc,
-            "unknown_acc": self.unknown_acc,
-            "h_score": self.h_score,
-            "os_mean": self.os_mean,
-            "os_star": self.os_star,
-            "wasserstein_uniform": self.wasserstein_uniform,
-            "wasserstein_learned": self.wasserstein_learned,
-        }
+        doc = asdict(self)
+        doc["per_class_acc"] = {str(k): v for k, v in sorted(self.per_class_acc.items())}
+        return doc
 
     def save_json(self, path):
         atomic_write_text(path, json.dumps(self.to_dict(), indent=1) + "\n")
@@ -124,9 +115,9 @@ class EvalReport:
     def save_csv(self, path):
         rows = ["metric,value"]
         for key, value in self.to_dict().items():
-            if key == "per_class_acc":
-                for label, acc in sorted(self.per_class_acc.items()):
-                    rows.append("class_%d_acc,%s" % (label, format_float(acc)))
+            if isinstance(value, dict):
+                for label, acc in value.items():
+                    rows.append("class_%s_acc,%s" % (label, format_float(acc)))
             elif isinstance(value, float):
                 rows.append("%s,%s" % (key, format_float(value)))
             else:

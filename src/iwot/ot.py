@@ -30,6 +30,8 @@ throughout the package; its gradient with respect to both feature sets is
 provided here so loss code can chain through it.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.optimize._highspy import _core as highs
@@ -127,14 +129,14 @@ def coupling_cost(coupling, cost):
     return float((coupling * cost).sum())
 
 
+@dataclass
 class CouplingReport:
     """Feasibility summary for a would-be coupling."""
 
-    def __init__(self, max_row_dev, max_col_dev, min_entry, tol):
-        self.max_row_dev = float(max_row_dev)
-        self.max_col_dev = float(max_col_dev)
-        self.min_entry = float(min_entry)
-        self.tol = float(tol)
+    max_row_dev: float
+    max_col_dev: float
+    min_entry: float
+    tol: float
 
     @property
     def passed(self):
@@ -142,12 +144,6 @@ class CouplingReport:
             self.max_row_dev <= self.tol
             and self.max_col_dev <= self.tol
             and self.min_entry >= -self.tol
-        )
-
-    def __repr__(self):
-        return (
-            "CouplingReport(max_row_dev=%.3e, max_col_dev=%.3e, min_entry=%.3e, passed=%s)"
-            % (self.max_row_dev, self.max_col_dev, self.min_entry, self.passed)
         )
 
 
@@ -160,7 +156,7 @@ def validate_coupling(coupling, p1, p2, tol=1e-8):
         raise ValueError("coupling shape does not match the marginals")
     row_dev = np.abs(coupling.sum(axis=1) - p1).max()
     col_dev = np.abs(coupling.sum(axis=0) - p2).max()
-    return CouplingReport(row_dev, col_dev, coupling.min(), tol)
+    return CouplingReport(float(row_dev), float(col_dev), float(coupling.min()), float(tol))
 
 
 def _reduce_support(cost, p1, p2):
@@ -294,14 +290,14 @@ def solve_exact(cost, p1, p2):
     return _restore_support(plan.reshape(m, n), rows, cols)
 
 
+@dataclass
 class SinkhornResult:
     """Entropic solver output: the plan plus convergence diagnostics."""
 
-    def __init__(self, coupling, converged, iterations, marginal_error):
-        self.coupling = coupling
-        self.converged = bool(converged)
-        self.iterations = int(iterations)
-        self.marginal_error = float(marginal_error)
+    coupling: np.ndarray
+    converged: bool
+    iterations: int
+    marginal_error: float
 
 
 # np.exp of an argument below this is a subnormal double, which is slow. In
@@ -479,9 +475,9 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000, anneal=True)
     plan = _round_to_polytope(plan, ap1, ap2)
     return SinkhornResult(
         _restore_support(plan, rows, cols),
-        converged=error <= tol,
+        converged=bool(error <= tol),
         iterations=total_iterations,
-        marginal_error=error,
+        marginal_error=float(error),
     )
 
 

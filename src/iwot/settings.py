@@ -11,6 +11,7 @@ term scores, and the loss coefficients.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -78,8 +79,8 @@ def plan_for_setting(setting, beta=DEFAULT_BETA, eta=DEFAULT_ETA, epsilon=DEFAUL
     """
     setting = parse_setting(setting)
     for name, value in (("beta", beta), ("eta", eta), ("epsilon", epsilon)):
-        if not isinstance(value, (int, float)) or not value >= 0:
-            raise ConfigError("%s must be a nonnegative number, got %r" % (name, value))
+        if not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+            raise ConfigError("%s must be a finite nonnegative number, got %r" % (name, value))
     beta, eta, epsilon = float(beta), float(eta), float(epsilon)
 
     if setting is Setting.UNIDA:

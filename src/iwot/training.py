@@ -29,9 +29,6 @@ from .settings import LEARNED
 
 log = logging.getLogger(__name__)
 
-HISTORY_HEADER = "step,epoch,classification,transport,separation,intra,total,converged"
-
-
 @dataclass
 class TrainConfig:
     """Knobs for one training run; defaults are the desk-scale baseline."""
@@ -99,6 +96,17 @@ class StepRecord:
     converged: bool
 
 
+# The CSV columns are StepRecord's fields in order; each cell is written and
+# read by its field's type.
+HISTORY_HEADER = ",".join(item.name for item in fields(StepRecord))
+_FORMAT = {
+    int: lambda value: "%d" % value,
+    float: format_float,
+    bool: lambda value: "1" if value else "0",
+}
+_PARSE = {int: int, float: float, bool: lambda raw: bool(int(raw))}
+
+
 @dataclass
 class TrainHistory:
     records: list = field(default_factory=list)
@@ -110,21 +118,11 @@ class TrainHistory:
         return len(self.records)
 
     def save_csv(self, path):
+        columns = fields(StepRecord)
         lines = [HISTORY_HEADER]
-        for r in self.records:
-            lines.append(
-                "%d,%d,%s,%s,%s,%s,%s,%d"
-                % (
-                    r.step,
-                    r.epoch,
-                    format_float(r.classification),
-                    format_float(r.transport),
-                    format_float(r.separation),
-                    format_float(r.intra),
-                    format_float(r.total),
-                    1 if r.converged else 0,
-                )
-            )
+        for record in self.records:
+            cells = (_FORMAT[item.type](getattr(record, item.name)) for item in columns)
+            lines.append(",".join(cells))
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -133,24 +131,16 @@ def load_history_csv(path):
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines or lines[0] != HISTORY_HEADER:
-        raise DataFormatError("history CSV has an unexpected header")
+        raise DataFormatError("history line 1: expected the header %r" % HISTORY_HEADER)
+    columns = fields(StepRecord)
     history = TrainHistory()
     for i, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) != 8:
-            raise DataFormatError("history line %d: expected 8 fields" % i)
+        if len(parts) != len(columns):
+            raise DataFormatError("history line %d: expected %d fields" % (i, len(columns)))
         try:
             history.append(
-                StepRecord(
-                    step=int(parts[0]),
-                    epoch=int(parts[1]),
-                    classification=float(parts[2]),
-                    transport=float(parts[3]),
-                    separation=float(parts[4]),
-                    intra=float(parts[5]),
-                    total=float(parts[6]),
-                    converged=bool(int(parts[7])),
-                )
+                StepRecord(*(_PARSE[item.type](part) for item, part in zip(columns, parts)))
             )
         except ValueError as exc:
             raise DataFormatError("history line %d: %s" % (i, exc)) from exc

@@ -1,13 +1,15 @@
 """Command-line flows: generate, train, eval, ot-check, exit codes, manifests."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+from iwot import cli
 from iwot.cli import main
-from iwot.data import load_dataset
-from iwot.training import load_history_csv
+from iwot.data import LabelSplit, load_dataset
+from iwot.training import TrainConfig, load_history_csv
 
 BASE_CONFIG = """\
 [experiment]
@@ -127,6 +129,70 @@ class TestGenerate:
         assert err.startswith("config error: ") and "seed" in err and err.count("\n") == 1
         assert not out.exists() or os.listdir(out) == []
 
+    @pytest.mark.parametrize("key", ["beta", "eta", "epsilon"])
+    def test_infinite_hyperparameter_rejected(self, tmp_path, capsys, key):
+        line = "%s = inf" % key
+        text = BASE_CONFIG.replace("beta = 0.3", line if key == "beta" else "beta = 0.3\n" + line)
+        config = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert run(["generate", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: %s must be a finite nonnegative number, got inf\n" % key
+        assert not out.exists()
+
+
+def train_only(text):
+    """BASE_CONFIG with its [train] section replaced by `text`."""
+    return BASE_CONFIG.split("[train]")[0] + "[train]\n" + text
+
+
+def changed_value(item):
+    """A valid value for a TrainConfig field that differs from its default."""
+    if item.type is str:
+        return {"sinkhorn": "exact"}[item.default]
+    return item.default + 1 if item.type is int else item.default / 2
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "item", [f for f in dataclasses.fields(TrainConfig) if f.name != "seed"],
+        ids=lambda f: f.name,
+    )
+    def test_train_field_reaches_train_config(self, tmp_path, item):
+        value = changed_value(item)
+        path = write_config(tmp_path, train_only("%s = %s\n" % (item.name, value)))
+        config, snapshot = cli._load_experiment(path)
+        assert config.train == dataclasses.replace(TrainConfig(), **{item.name: value})
+        assert snapshot["train"] == {item.name: str(value)}
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(LabelSplit)])
+    def test_split_key_is_required(self, tmp_path, capsys, key):
+        text = "\n".join(line for line in BASE_CONFIG.split("\n") if not line.startswith(key))
+        config = write_config(tmp_path, text)
+        assert run(["generate", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: [data] %s is required\n" % key
+
+    def test_non_integer_epochs_cannot_parse(self, tmp_path, capsys):
+        config = write_config(tmp_path, BASE_CONFIG.replace("epochs = 3", "epochs = 3.5"))
+        assert run(["generate", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: [train] epochs: cannot parse '3.5'\n"
+
+    def test_seed_is_not_a_train_key(self, tmp_path, capsys):
+        config = write_config(tmp_path, BASE_CONFIG + "seed = 1\n")
+        assert run(["generate", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: unknown config key [train] seed\n"
+
+    def test_seed_reaches_train_config(self, tmp_path):
+        config, _ = cli._load_experiment(
+            write_config(tmp_path, BASE_CONFIG.replace("seed = 0", "seed = 7"))
+        )
+        assert config.train.seed == 7
+
+    def test_translation_comma_list(self, tmp_path):
+        text = BASE_CONFIG.replace("translation = 0.8", "translation = 0.8, -0.25,0,1e-3")
+        config, _ = cli._load_experiment(write_config(tmp_path, text))
+        assert config.shift.translation == (0.8, -0.25, 0.0, 1e-3)
+
 
 class TestTrainEval:
     @pytest.fixture()
@@ -164,6 +230,16 @@ class TestTrainEval:
         assert run(["train", "--config", config, "--out", out, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "seed" in err and err.count("\n") == 1
+        for name in ("manifest_train.json", "checkpoint.json", "history.csv"):
+            assert not os.path.exists(os.path.join(out, name))
+
+    def test_train_infinite_beta_rejected(self, generated, tmp_path, capsys):
+        _, out = generated
+        config = write_config(tmp_path, BASE_CONFIG.replace("beta = 0.3", "beta = inf"), "inf.ini")
+        assert run(["train", "--config", config, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "config error: beta must be a finite nonnegative number, got inf\n"
+        )
         for name in ("manifest_train.json", "checkpoint.json", "history.csv"):
             assert not os.path.exists(os.path.join(out, name))
 
@@ -205,10 +281,25 @@ class TestTrainEval:
         report = json.loads(open(os.path.join(eval_out, "report.json")).read())
         assert 0.0 <= report["common_acc"] <= 1.0
         assert report["wasserstein_uniform"] is not None
-        assert os.path.exists(os.path.join(eval_out, "report.csv"))
         assert os.path.exists(os.path.join(eval_out, "manifest_eval.json"))
         out_text = capsys.readouterr().out
         assert "common_acc" in out_text
+        # The output formats, pinned as literals.
+        with open(os.path.join(out, "history.csv"), encoding="utf-8") as handle:
+            assert handle.readline() == (
+                "step,epoch,classification,transport,separation,intra,total,converged\n"
+            )
+        assert list(report) == [
+            "n_common", "n_evaluated", "per_class_acc", "common_acc", "unknown_acc",
+            "h_score", "os_mean", "os_star", "wasserstein_uniform", "wasserstein_learned",
+        ]
+        assert list(report["per_class_acc"]) == ["0", "1"]
+        with open(os.path.join(eval_out, "report.csv"), encoding="utf-8") as handle:
+            assert [line.split(",")[0] for line in handle.read().splitlines()] == [
+                "metric", "n_common", "n_evaluated", "class_0_acc", "class_1_acc",
+                "common_acc", "unknown_acc", "h_score", "os_mean", "os_star",
+                "wasserstein_uniform", "wasserstein_learned",
+            ]
 
     def test_eval_source_role_file_rejected(self, generated):
         config, out = generated
@@ -261,9 +352,17 @@ class TestTrainEval:
             (lambda doc: doc["networks"]["classifier"]["layers"][0].update(
                 rows=1, weight=doc["networks"]["classifier"]["layers"][0]["weight"][:3]),
              "'classifier'"),
+            (lambda doc: doc["meta"].update(setting="nope"), "'nope'"),
+            (lambda doc: doc["meta"].update(beta="x"), "beta"),
+            (lambda doc: doc["meta"].update(beta=-1), "beta"),
+            (lambda doc: doc["meta"].update(epsilon=float("inf")), "epsilon"),
+            (lambda doc: doc["meta"].update(input_dim="x"), "'input_dim'"),
+            (lambda doc: doc["meta"].update(input_dim=doc["meta"]["input_dim"] + 1),
+             "'input_dim'"),
         ],
         ids=["split-int", "split-string-count", "weight-non-numeric", "negative-shape",
-             "networks-mismatched"],
+             "networks-mismatched", "setting-unknown", "beta-string", "beta-negative",
+             "epsilon-infinite", "input-dim-string", "input-dim-mismatched"],
     )
     def test_eval_malformed_checkpoint_value_is_io_error(
         self, generated, tmp_path, capsys, corrupt, needle

@@ -128,7 +128,14 @@ class TestInvariantSweep:
                 assert plan.eta == eta and plan.epsilon == epsilon
 
     def test_negative_hyperparameters_rejected(self):
-        for kwargs in ({"beta": -0.1}, {"eta": -1.0}, {"epsilon": -0.01}):
+        for kwargs in (
+            {"beta": -0.1},
+            {"eta": -1.0},
+            {"epsilon": -0.01},
+            {"beta": np.inf},
+            {"eta": np.inf},
+            {"epsilon": np.inf},
+        ):
             with pytest.raises(ConfigError):
                 plan_for_setting("pda", **kwargs)
 

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from iwot.data import LabelSplit, ShiftSpec, generate_pair
-from iwot.errors import ConfigError, NumericalError
+from iwot.errors import ConfigError, DataFormatError, NumericalError
 from iwot.settings import plan_for_setting
 from iwot.training import (
     EpochSampler,
@@ -15,6 +15,8 @@ from iwot.training import (
     load_history_csv,
     train,
 )
+
+HEADER = "step,epoch,classification,transport,separation,intra,total,converged"
 
 
 def small_pair(seed=0, split=None, n=96, dim=8):
@@ -196,10 +198,29 @@ class TestHistoryContents:
         path = tmp_path / "history.csv"
         hist.save_csv(path)
         loaded = load_history_csv(path)
+        assert path.read_text(encoding="utf-8").split("\n")[0] == HEADER
         assert len(loaded) == len(hist)
-        for ra, rb in zip(hist.records, loaded.records):
-            assert ra.step == rb.step and ra.epoch == rb.epoch
-            assert ra.total == rb.total and ra.converged == rb.converged
+        assert loaded.records == hist.records
+
+    @pytest.mark.parametrize(
+        "lines, needle",
+        [
+            ([], "history line 1: "),
+            (["step,epoch,total"], "history line 1: "),
+            ([HEADER, "0,0,1,0,0,0,1"], "history line 2: expected 8 fields"),
+            ([HEADER, "0,0,1,0,0,0,1,1", "1,0,1,0,0,0,1,1,0"], "history line 3: expected 8 fields"),
+            ([HEADER, "0,0,1,0,0,0,1,1", "1,0,x,0,0,0,1,1"], "history line 3: "),
+            ([HEADER, "0,0.5,1,0,0,0,1,1"], "history line 2: "),
+            ([HEADER, "0,0,1,0,0,0,1,yes"], "history line 2: "),
+        ],
+        ids=["empty", "bad-header", "short-row", "long-row", "non-numeric-float",
+             "non-integer-epoch", "non-numeric-flag"],
+    )
+    def test_malformed_csv_names_the_line(self, tmp_path, lines, needle):
+        path = tmp_path / "history.csv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(DataFormatError, match="^" + needle):
+            load_history_csv(path)
 
     def test_degenerate_transport_falls_back_to_supervision(self):
         # all-zero inputs pass through zero-initialized biases and dead relus,

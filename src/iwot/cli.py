@@ -17,8 +17,8 @@ into the output directory recording command, inputs, seed and those outputs,
 so every file a manifest names exists whatever the exit code: a command that
 fails writes no manifest.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
-4 numerical failure.
+Exit codes: 0 success, 2 configuration error (a size too large to allocate
+included), 3 I/O or file-format error, 4 numerical failure.
 """
 
 import argparse
@@ -484,6 +484,11 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # A configured size too large to allocate; NumPy's message names the array.
+        detail = str(exc) or "allocation failed"
+        print("config error: out of memory: %s" % detail, file=sys.stderr)
         return EXIT_CONFIG
     except (DataFormatError, OSError) as exc:
         print("input/output error: %s" % exc, file=sys.stderr)

@@ -234,6 +234,15 @@ def generate_pair(split, n_source, n_target, dim, seed, shift=None):
     target_x += translation
     if shift.noise_std > 0:
         target_x += target_rng.normal(0.0, shift.noise_std, size=target_x.shape)
+    # Every consumer takes norms of the features (the cosine cost), so a
+    # squared norm that overflows is as unusable as a non-finite feature.
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = all(np.isfinite(np.einsum("ij,ij->i", x, x)).all() for x in (source_x, target_x))
+    if not finite:
+        raise ConfigError(
+            "spread %g and noise_std %g give features whose squared norm is not finite"
+            % (spread, shift.noise_std)
+        )
 
     source = DomainDataset(source_x, source_y, split, "source", seed)
     target = DomainDataset(target_x, target_y, split, "target", seed)

@@ -16,14 +16,18 @@ re-solved until none is left; the optimal plan uses at most m + n - 1 arcs,
 nearly all of them cheap. Marginals hold to HiGHS's 1e-7 primal tolerance.
 
 `solve_sinkhorn` is an entropic solver written here directly: Sinkhorn dual
-iterations, optionally warm-started through a geometric regularization
-schedule so that very small final regularization stays cheap. Every level
-runs one loop of stabilized scaling (Schmitzer 2019): matrix-vector scalings
-of a kernel with the dual potentials absorbed. Where that kernel would
-underflow, as at the last levels of a reg around 1e-3, the level starts with
-one log-sum-exp iteration that re-centres the potentials, after which the
-underflowing entries are truncated to zero. Atoms with zero marginal mass are
-removed before either solver runs and restored as zero rows/columns.
+iterations in one loop of stabilized scaling (Schmitzer 2019), matrix-vector
+scalings of a kernel with the dual potentials absorbed. Where the cost is
+within 64 times the regularization, as for cosine costs at reg 0.05, it runs
+one stage at that regularization, over-relaxed with weight 1.5 after its
+first iteration and plain from the first check at which the marginal error
+rises. A sharper regularization is reached through a geometric schedule of
+plain stages, each warm-started from the last, so that it stays cheap; where
+the kernel would underflow, as at the last levels of a reg around 1e-3, a
+stage starts with one log-sum-exp iteration that re-centres the potentials,
+after which the underflowing entries are truncated to zero. Atoms with zero
+marginal mass are removed before either solver runs and restored as zero
+rows/columns.
 
 Cosine dissimilarity (1 - cosine similarity, range [0, 2]) is the cost used
 throughout the package; its gradient with respect to both feature sets is
@@ -309,6 +313,16 @@ _EXP_FLOOR = -708.0
 # this; the margin above _EXP_FLOOR covers scalings up to _SCALING_BOUND.
 _RECENTRE_BELOW = -600.0
 _SCALING_BOUND = 1e50
+# A cost whose largest entry is at most this many times reg is solved in one
+# stage at reg, over-relaxed with weight _OMEGA: there annealing saves few
+# iterations and each of its stages rebuilds the kernel, while
+# over-relaxation (Thibault, Chizat, Dossal & Papadakis, "Overrelaxed
+# Sinkhorn-Knopp"; Lehmann, von Renesse, Sambale & Uschmajew, Optim. Lett.
+# 2022) cuts the iterations about threefold. A larger cost keeps the annealed,
+# plain schedule, whose stages mostly run out of budget, so over-relaxing
+# them would only make each iteration dearer.
+_ONE_STAGE_SCALE = 64.0
+_OMEGA = 1.5
 
 
 def _lse_rows(matrix):
@@ -331,43 +345,65 @@ def _lse_cols(matrix):
     return out
 
 
-def _scaling_iterations(absorbed, p1, p2, f, g, tol, iterations, max_iter, check_every):
+def _scaling_iterations(
+    absorbed, p1, p2, f, g, tol, iterations, max_iter, check_every, omega, error
+):
     """Sinkhorn passes as matrix-vector scalings of the absorbed kernel.
 
     With K = exp(absorbed), absorbed = kernel + f + g (overwritten here), the
-    potentials are f + log u and g + log v; each pass is u = p1 / (K v),
-    v = p2 / (K^T u), and the plan is u K v, so no exp runs inside the loop.
-    Counting on from the stage's `iterations` (< max_iter), the marginal error
-    is checked at each multiple of `check_every` and at `max_iter`. Stops
-    early, at a check, when u or v leaves [1/_SCALING_BOUND, _SCALING_BOUND],
-    so that the caller can absorb them into the potentials and rebuild K.
+    potentials are f + log u and g + log v, starting from u = v = 1, and the
+    plan is u K v, so no exp runs inside the loop. The stage's first pass
+    (`iterations` 0) is plain, u = p1 / (K v), v = p2 / (K^T u); every later
+    one is over-relaxed, u = u^(1 - omega) (p1 / (K v))^omega and likewise v,
+    which at omega = 1 is the plain pass. Counting on from the stage's
+    `iterations` (< max_iter), the marginal error of the current plan is
+    checked at each multiple of `check_every` and at `max_iter`; if it is
+    larger than at the previous check (`error` on entry), omega drops to 1
+    for the rest of the stage. Stops early, at a check, when u or v leaves
+    [1/_SCALING_BOUND, _SCALING_BOUND], so that the caller can absorb them
+    into the potentials and rebuild K. Returns the potentials, the iteration
+    count, the last error and omega.
     """
     if absorbed.min() < _EXP_FLOOR:
         np.putmask(absorbed, absorbed < _EXP_FLOOR, -np.inf)
     kernel = np.exp(absorbed, out=absorbed)
+    u = np.ones(p1.size)
+    v = np.ones(p2.size)
     kv = kernel.sum(axis=1)
     while True:
         for _ in range(min(check_every - iterations % check_every, max_iter - iterations)):
-            u = p1 / kv
-            ktu = u @ kernel
-            v = p2 / ktu
+            if iterations and omega != 1.0:
+                ratio = p1 / (u * kv)
+                u *= ratio**omega
+                ktu = u @ kernel
+                ratio = p2 / (v * ktu)
+                v *= ratio**omega
+            else:
+                u = p1 / kv
+                ktu = u @ kernel
+                v = p2 / ktu
             kv = kernel @ v
             iterations += 1
         row_err = np.abs(u * kv - p1).max()
         col_err = np.abs(v * ktu - p2).max()
+        if max(row_err, col_err) > error:
+            omega = 1.0
         error = max(row_err, col_err)
         if error <= tol or iterations >= max_iter:
             break
         if max(u.max(), v.max()) > _SCALING_BOUND or min(u.min(), v.min()) < 1.0 / _SCALING_BOUND:
             break
-    return f + np.log(u), g + np.log(v), iterations, error
+    return f + np.log(u), g + np.log(v), iterations, error, omega
 
 
-def _sinkhorn_stage(kernel, log_p1, log_p2, f, g, tol, max_iter, check_every=5):
+def _sinkhorn_stage(kernel, log_p1, log_p2, f, g, tol, max_iter, omega, check_every=5):
     """Sinkhorn iterations at one regularization level (kernel = -cost/level).
 
     One loop serves every level: scaling passes on the kernel with the
-    potentials absorbed, re-absorbed when the scalings leave their bounds. If
+    potentials absorbed, re-absorbed when the scalings leave their bounds.
+    Passes after the first are over-relaxed with weight `omega` (1 for plain
+    passes) until the marginal error rises from one check to the next, after
+    which the stage runs plain passes (see `_scaling_iterations`). If
     an absorbed exponent starts below _RECENTRE_BELOW, the stage's first
     iteration is instead one log-domain update, which re-centres f and g.
     After any full iteration the absorbed exponents are the log of the plan:
@@ -390,9 +426,10 @@ def _sinkhorn_stage(kernel, log_p1, log_p2, f, g, tol, max_iter, check_every=5):
         if max_iter == 1:  # the re-centring used the whole budget
             plan = np.exp(absorbed)
             return f, g, 1, max(abs(plan.sum(axis=1) - p1).max(), abs(plan.sum(axis=0) - p2).max())
+    error = np.inf
     while True:
-        f, g, iterations, error = _scaling_iterations(
-            absorbed, p1, p2, f, g, tol, iterations, max_iter, check_every
+        f, g, iterations, error, omega = _scaling_iterations(
+            absorbed, p1, p2, f, g, tol, iterations, max_iter, check_every, omega, error
         )
         if error <= tol or iterations >= max_iter:
             return f, g, iterations, error
@@ -422,18 +459,21 @@ def _round_to_polytope(plan, p1, p2):
 def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000, anneal=True):
     """Entropy-regularized coupling via Sinkhorn dual iterations.
 
-    Every regularization level runs one scaling loop on the kernel with the
-    dual potentials absorbed, after one log-domain re-centring iteration where
-    that kernel would underflow (see `_sinkhorn_stage`). A cost with negative
-    entries is shifted to a minimum of 0, which changes no entropic plan. With
-    `anneal` on, the solver walks a geometric schedule of regularization
-    levels from the cost scale down to `reg` (positive and finite), carrying
-    the dual potentials across levels; this keeps small `reg` values from
-    needing tens of thousands of iterations. The returned plan is projected
-    onto the coupling polytope, so its marginals hold to machine precision
-    wherever the iteration stopped; `marginal_error` reports the finite
-    pre-projection dual residual and `converged` whether it reached `tol`
-    (nonnegative and finite) within the budget.
+    A cost with negative entries is shifted to a minimum of 0, which changes
+    no entropic plan. If the shifted cost is at most `_ONE_STAGE_SCALE` times
+    `reg` (positive and finite), one over-relaxed stage runs at `reg`. Otherwise,
+    with `anneal` on, the solver walks a geometric schedule of regularization
+    levels from the cost scale down to `reg`, carrying the dual potentials
+    across levels, which keeps small `reg` values from needing tens of
+    thousands of iterations; with it off, one plain stage runs at `reg`. Every
+    stage is one scaling loop on the kernel with the potentials absorbed,
+    after one log-domain re-centring iteration where that kernel would
+    underflow (see `_sinkhorn_stage`). The returned plan is projected onto the
+    coupling polytope, so its marginals hold to machine precision wherever the
+    iteration stopped; `marginal_error` reports the finite pre-projection dual
+    residual and `converged` whether it reached `tol` (nonnegative and finite)
+    within the budget. A plan that is not finite, as when a tiny `reg`
+    underflows whole kernel rows, raises NumericalError.
     """
     cost, p1, p2 = _check_problem(cost, p1, p2)
     if not (np.isfinite(reg) and reg > 0):
@@ -449,8 +489,10 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000, anneal=True)
     f = np.zeros(ap1.size)
     g = np.zeros(ap2.size)
 
+    near_scale = active_cost.max() <= _ONE_STAGE_SCALE * reg
+    omega = _OMEGA if near_scale else 1.0
     schedule = []
-    if anneal:
+    if anneal and not near_scale:
         level = float(active_cost.max())
         while level > reg * 2.0:
             schedule.append(level)
@@ -459,17 +501,18 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000, anneal=True)
 
     total_iterations = 0
     error = np.inf
-    for stage_index, level in enumerate(schedule):
-        last = stage_index == len(schedule) - 1
-        stage_tol = tol if last else max(tol, 1e-3)
-        stage_budget = max_iter if last else min(max_iter, 200)
-        f, g, used, error = _sinkhorn_stage(
-            -active_cost / level, log_p1, log_p2, f, g, stage_tol, stage_budget
-        )
-        total_iterations += used
-
-    log_plan = -active_cost / schedule[-1] + f[:, None] + g[None, :]
-    plan = np.exp(log_plan)
+    # A reg so small that whole kernel rows underflow divides by zero; the
+    # resulting non-finite plan is reported below as a NumericalError.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for stage_index, level in enumerate(schedule):
+            last = stage_index == len(schedule) - 1
+            stage_tol = tol if last else max(tol, 1e-3)
+            stage_budget = max_iter if last else min(max_iter, 200)
+            f, g, used, error = _sinkhorn_stage(
+                -active_cost / level, log_p1, log_p2, f, g, stage_tol, stage_budget, omega
+            )
+            total_iterations += used
+        plan = np.exp(-active_cost / schedule[-1] + f[:, None] + g[None, :])
     if not np.isfinite(plan).all():
         raise NumericalError("entropic solver produced non-finite plan entries")
     plan = _round_to_polytope(plan, ap1, ap2)

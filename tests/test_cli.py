@@ -3,10 +3,11 @@
 import dataclasses
 import json
 import os
+import warnings
 
 import pytest
 
-from iwot import cli
+from iwot import cli, nets
 from iwot.cli import main
 from iwot.data import LabelSplit, load_dataset
 from iwot.training import TrainConfig, load_history_csv
@@ -141,6 +142,34 @@ class TestGenerate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "line", ["noise_std = 1e308", "noise_std = 0.2\nspread = 1e300"], ids=["noise", "spread"]
+    )
+    def test_overflowing_features_rejected(self, tmp_path, capsys, line):
+        # Features the loader would reject (inf) or whose squared norms
+        # overflow (so every cosine cost is NaN) are never written.
+        config = write_config(tmp_path, BASE_CONFIG.replace("noise_std = 0.2", line))
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["generate", "--config", config, "--out", str(out)]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "squared norm" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_allocation_failure_is_config_error(self, tmp_path, capsys, monkeypatch):
+        message = "Unable to allocate 1.94 TiB for an array with shape (100000000000, 8)"
+
+        def huge(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate_pair", huge)
+        out = tmp_path / "o"
+        assert run(["generate", "--config", write_config(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: out of memory: %s\n" % message
+        assert not out.exists()
+
 def train_only(text):
     """BASE_CONFIG with its [train] section replaced by `text`."""
     return BASE_CONFIG.split("[train]")[0] + "[train]\n" + text
@@ -267,6 +296,35 @@ class TestTrainEval:
         assert not os.path.exists(os.path.join(out, "checkpoint.json"))
         assert not os.path.exists(os.path.join(out, "manifest_train.json"))
         assert_manifests_complete(out)
+
+    def test_tiny_sinkhorn_reg_is_one_line_numerical_error(self, generated, tmp_path, capsys):
+        # At reg 1e-300 whole kernel rows underflow; the solve must end in the
+        # non-finite-plan error alone, without NumPy's divide-by-zero warning.
+        _, out = generated
+        config = write_config(tmp_path, BASE_CONFIG + "sinkhorn_reg = 1e-300\n", "tiny.ini")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["train", "--config", config, "--out", out]) == 4
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err == "numerical error: entropic solver produced non-finite plan entries\n"
+        for name in ("manifest_train.json", "checkpoint.json", "history.csv"):
+            assert not os.path.exists(os.path.join(out, name))
+
+    def test_train_allocation_failure_is_config_error(self, generated, capsys, monkeypatch):
+        _, out = generated
+        message = "Unable to allocate 71.1 PiB for an array with shape (100000000, 100000000)"
+
+        def huge(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(nets.Mlp, "init", huge)
+        capsys.readouterr()
+        assert run(["train", "--config", generated[0], "--out", out]) == 2
+        assert capsys.readouterr().err == "config error: out of memory: %s\n" % message
+        for name in ("manifest_train.json", "checkpoint.json", "history.csv"):
+            assert not os.path.exists(os.path.join(out, name))
 
     def test_eval_reports_and_exit_codes(self, generated, capsys):
         config, out = generated

@@ -545,8 +545,11 @@ class TestSolveSinkhorn:
 
 
 def anneal_levels(cost, reg):
-    """The regularization levels `solve_sinkhorn` walks with `anneal` on."""
+    """The regularization levels `solve_sinkhorn` walks with `anneal` on: one
+    level when the cost is within `_ONE_STAGE_SCALE` times reg."""
     level, levels = float(cost.max()), []
+    if level <= ot._ONE_STAGE_SCALE * reg:
+        return [reg]
     while level > 2.0 * reg:
         levels.append(level)
         level /= 2.0
@@ -563,24 +566,31 @@ def learned_marginal(rng, n):
 LSE_ROWS, LSE_COLS = ot._lse_rows, ot._lse_cols
 
 
-def log_domain_stage(kernel, log_p1, log_p2, p1, p2, f, g, tol, max_iter, check_every=5):
-    """Reference for one stage: plain log-sum-exp dual updates, safe for any
+def log_domain_stage(kernel, log_p1, log_p2, p1, p2, f, g, tol, max_iter, omega=1.0,
+                     check_every=5):
+    """Reference for one stage: log-sum-exp dual updates, safe for any
     exponent range, with the marginal error checked where `_sinkhorn_stage`
-    checks it."""
+    checks it. Every iteration after the first is over-relaxed,
+    f <- (1 - omega) f + omega (log p1 - lse_rows(kernel + g)) and likewise g,
+    until the error rises from one check to the next; omega is 1 from then on.
+    Returns the potentials, the iteration count, the error and the last omega."""
     iterations = 0
     error = np.inf
     while iterations < max_iter:
         for _ in range(min(check_every, max_iter - iterations)):
-            f = log_p1 - LSE_ROWS(kernel + g[None, :])
-            g = log_p2 - LSE_COLS(kernel + f[:, None])
+            weight = omega if iterations else 1.0
+            f = (1.0 - weight) * f + weight * (log_p1 - LSE_ROWS(kernel + g[None, :]))
+            g = (1.0 - weight) * g + weight * (log_p2 - LSE_COLS(kernel + f[:, None]))
             iterations += 1
         log_plan = kernel + f[:, None] + g[None, :]
         row_err = np.abs(np.exp(LSE_ROWS(log_plan)) - p1).max()
         col_err = np.abs(np.exp(LSE_COLS(log_plan)) - p2).max()
+        if max(row_err, col_err) > error:
+            omega = 1.0
         error = max(row_err, col_err)
         if error <= tol:
             break
-    return f, g, iterations, error
+    return f, g, iterations, error, omega
 
 
 @pytest.fixture()
@@ -607,9 +617,10 @@ def stage_paths(monkeypatch):
 
 
 class TestSinkhornStages:
-    def compare_with_log_domain(self, cost, p1, p2, levels, tol=1e-6, max_iter=1000):
+    def compare_with_log_domain(self, cost, p1, p2, levels, tol=1e-6, max_iter=1000, omega=1.0):
         """Run every stage by `_sinkhorn_stage` and by the log-domain reference
-        from the same potentials; return the largest differences."""
+        from the same potentials; return the largest differences and the
+        reference's last omega."""
         log_p1, log_p2 = np.log(p1), np.log(p2)
         f, g = np.zeros(p1.size), np.zeros(p2.size)
         worst_potential = worst_plan = 0.0
@@ -618,8 +629,8 @@ class TestSinkhornStages:
             stage_tol = tol if last else max(tol, 1e-3)
             budget = max_iter if last else min(max_iter, 200)
             kernel = -cost / level
-            ref = log_domain_stage(kernel, log_p1, log_p2, p1, p2, f, g, stage_tol, budget)
-            got = ot._sinkhorn_stage(kernel, log_p1, log_p2, f, g, stage_tol, budget)
+            ref = log_domain_stage(kernel, log_p1, log_p2, p1, p2, f, g, stage_tol, budget, omega)
+            got = ot._sinkhorn_stage(kernel, log_p1, log_p2, f, g, stage_tol, budget, omega)
             assert got[2] == ref[2], "iteration counts differ at level %g" % level
             assert (got[3] <= stage_tol) == (ref[3] <= stage_tol)
             worst_potential = max(
@@ -629,20 +640,88 @@ class TestSinkhornStages:
             plan_got = np.exp(kernel + got[0][:, None] + got[1][None, :])
             worst_plan = max(worst_plan, np.abs(plan_got - plan_ref).max())
             f, g = ref[0], ref[1]
-        return worst_potential, worst_plan
+        return worst_potential, worst_plan, ref[4]
 
     def test_scaling_matches_log_domain_at_training_reg(self, stage_paths):
+        # At reg 0.05 a cosine cost (at most 2) is within _ONE_STAGE_SCALE * reg:
+        # one over-relaxed stage, which must follow the over-relaxed reference;
+        # the plain stage is checked on the same problems.
         rng = np.random.default_rng(30)
         for m, n in ((64, 64), (64, 48), (16, 64)):
             cost = cosine_cost(rng.normal(size=(m, 16)), rng.normal(size=(n, 16)))
             p1, p2 = learned_marginal(rng, m), learned_marginal(rng, n)
-            worst_potential, worst_plan = self.compare_with_log_domain(
-                cost, p1, p2, anneal_levels(cost, 0.05)
-            )
-            assert worst_potential <= 1e-12
-            assert worst_plan <= 1e-12
+            assert anneal_levels(cost, 0.05) == [0.05]
+            for omega in (ot._OMEGA, 1.0):
+                worst_potential, worst_plan, _ = self.compare_with_log_domain(
+                    cost, p1, p2, [0.05], omega=omega
+                )
+                assert worst_potential <= 1e-12
+                assert worst_plan <= 1e-12
         # At the training reg no stage needs the log domain or an absorption.
         assert stage_paths and all(paths == ["scaling"] for paths in stage_paths)
+
+    def test_stage_schedule_follows_the_cost_scale(self, monkeypatch):
+        # One over-relaxed stage while cost.max() <= _ONE_STAGE_SCALE * reg,
+        # with or without `anneal`; above that, the annealed plain schedule.
+        calls = []
+        real_stage = ot._sinkhorn_stage
+
+        def stage(kernel, *args):
+            calls.append((kernel.min(), args[-1]))
+            return real_stage(kernel, *args)
+
+        monkeypatch.setattr(ot, "_sinkhorn_stage", stage)
+        rng = np.random.default_rng(34)
+        base = rng.uniform(0.0, 1.0, (12, 10))
+        p1, p2 = learned_marginal(rng, 12), learned_marginal(rng, 10)
+        for top, reg, anneal in ((1.0, 1.0 / 64, True), (1.0, 1.0 / 64, False),
+                                 (1.0, 0.999 / 64, True), (2.0, 1e-3, True)):
+            cost = base * (top / base.max())
+            calls.clear()
+            solve_sinkhorn(cost, p1, p2, reg=reg, anneal=anneal)
+            levels = [-top / kernel_min for kernel_min, _ in calls]
+            expected = anneal_levels(cost, reg) if anneal else [reg]
+            assert_allclose(levels, expected, rtol=1e-12)
+            omega = ot._OMEGA if top <= ot._ONE_STAGE_SCALE * reg else 1.0
+            assert [stage_omega for _, stage_omega in calls] == [omega] * len(levels)
+
+    def test_safeguard_drops_to_plain_iterations(self, monkeypatch):
+        # At omega 1.95 the marginal error rises at a check of every one of
+        # these problems; the stage then runs plain iterations, as the
+        # reference does, and still converges.
+        monkeypatch.setattr(ot, "_OMEGA", 1.95)
+        rng = np.random.default_rng(35)
+        for _ in range(3):
+            cost = cosine_cost(rng.normal(size=(64, 8)), rng.normal(size=(64, 8)))
+            p1, p2 = learned_marginal(rng, 64), np.full(64, 1.0 / 64)
+            worst_potential, worst_plan, last_omega = self.compare_with_log_domain(
+                cost, p1, p2, [0.05], omega=ot._OMEGA
+            )
+            assert last_omega == 1.0
+            assert worst_potential <= 1e-12 and worst_plan <= 1e-12
+            result = solve_sinkhorn(cost, p1, p2, reg=0.05)
+            assert result.converged and result.marginal_error <= 1e-6
+
+    @pytest.mark.parametrize("kind", ["cross", "intra"])
+    def test_over_relaxed_values_near_tight_reference(self, kind):
+        # Learned weights against uniform, across domains or within one
+        # (self-cost): each training-reg solve converges, and its <P, C> is
+        # within 1e-4 of a plain solve to tol 1e-12.
+        rng = np.random.default_rng(36 if kind == "cross" else 37)
+        for _ in range(20):
+            features = rng.normal(size=(64, 8))
+            other = features if kind == "intra" else rng.normal(size=(64, 8))
+            cost = cosine_cost(features, other)
+            p1, p2 = learned_marginal(rng, 64), np.full(64, 1.0 / 64)
+            result = solve_sinkhorn(cost, p1, p2, reg=0.05)
+            assert result.converged
+            kernel = -cost / 0.05
+            f, g, _, error = ot._sinkhorn_stage(
+                kernel, np.log(p1), np.log(p2), np.zeros(64), np.zeros(64), 1e-12, 100000, 1.0
+            )
+            assert error <= 1e-12
+            reference = coupling_cost(np.exp(kernel + f[:, None] + g[None, :]), cost)
+            assert abs(coupling_cost(result.coupling, cost) - reference) <= 1e-4
 
     def test_absorption_keeps_iterates_and_marginals(self, stage_paths):
         # Atoms of mass ~1e-60 push their scalings below 1/_SCALING_BOUND
@@ -654,10 +733,14 @@ class TestSinkhornStages:
         p1[:4] = 1e-60 * rng.uniform(0.5, 2.0, 4)
         p2[-3:] = 1e-60 * rng.uniform(0.5, 2.0, 3)
         p1, p2 = p1 / p1.sum(), p2 / p2.sum()
-        worst_potential, worst_plan = self.compare_with_log_domain(cost, p1, p2, [0.05])
-        assert any(paths.count("scaling") > 1 for paths in stage_paths)
-        assert all("recentre" not in paths for paths in stage_paths)
-        assert worst_potential <= 1e-12 and worst_plan <= 1e-12
+        for omega in (ot._OMEGA, 1.0):
+            stage_paths.clear()
+            worst_potential, worst_plan, _ = self.compare_with_log_domain(
+                cost, p1, p2, [0.05], omega=omega
+            )
+            assert any(paths.count("scaling") > 1 for paths in stage_paths)
+            assert all("recentre" not in paths for paths in stage_paths)
+            assert worst_potential <= 1e-12 and worst_plan <= 1e-12
         result = solve_sinkhorn(cost, p1, p2, reg=0.05, anneal=False)
         assert result.converged and result.marginal_error <= 1e-6
         assert validate_coupling(result.coupling, p1, p2, tol=1e-15).passed
@@ -679,7 +762,7 @@ class TestSinkhornStages:
             p1, p2 = learned_marginal(rng, cost.shape[0]), learned_marginal(rng, cost.shape[1])
             levels = anneal_levels(cost, 1e-3) if anneal else [1e-3]
             stage_paths.clear()
-            _, worst_plan = self.compare_with_log_domain(cost, p1, p2, levels)
+            _, worst_plan, _ = self.compare_with_log_domain(cost, p1, p2, levels)
             assert worst_plan <= 1e-12
             assert len(stage_paths) == len(levels)
             for paths in stage_paths:

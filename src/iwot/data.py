@@ -321,16 +321,19 @@ def load_dataset(path):
         raise DataFormatError(
             "expected %d sample lines, found %d" % (count, len(body))
         )
+    # Every width is checked before the count x dim allocation, so that a
+    # corrupt `dim` header fails here rather than in it.
+    for i, line in enumerate(body):
+        if line.count(" ") != dim:
+            raise DataFormatError(
+                "line %d: expected %d fields, found %d" % (i + 7, 1 + dim, line.count(" ") + 1)
+            )
     legal = set(split.source_classes if role == "source" else split.target_classes)
     features = np.empty((count, dim))
     labels = np.empty(count, dtype=np.int64)
     for i, line in enumerate(body):
         where = "line %d" % (i + 7)
         tokens = line.split(" ")
-        if len(tokens) != 1 + dim:
-            raise DataFormatError(
-                "%s: expected %d fields, found %d" % (where, 1 + dim, len(tokens))
-            )
         label = _parse_int(tokens[0], where)
         if label == UNKNOWN_LABEL:
             if role != "target":

@@ -156,13 +156,6 @@ class Mlp:
             upstream = dz @ self.weights[i].T
         return grads, upstream
 
-    def copy(self):
-        return Mlp(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            list(self.activations),
-        )
-
     def has_finite_params(self):
         return all(np.isfinite(w).all() for w in self.weights) and all(
             np.isfinite(b).all() for b in self.biases

@@ -15,19 +15,19 @@ price every other arc, and arcs priced below -1e-9 are added and the LP
 re-solved until none is left; the optimal plan uses at most m + n - 1 arcs,
 nearly all of them cheap. Marginals hold to HiGHS's 1e-7 primal tolerance.
 
-`solve_sinkhorn` is an entropic solver written here directly: Sinkhorn dual
-iterations in one loop of stabilized scaling (Schmitzer 2019), matrix-vector
-scalings of a kernel with the dual potentials absorbed. Where the cost is
-within 64 times the regularization, as for cosine costs at reg 0.05, it runs
-one stage at that regularization, over-relaxed with weight 1.5 after its
-first iteration and plain from the first check at which the marginal error
-rises. A sharper regularization is reached through a geometric schedule of
-plain stages, each warm-started from the last, so that it stays cheap; where
-the kernel would underflow, as at the last levels of a reg around 1e-3, a
-stage starts with one log-sum-exp iteration that re-centres the potentials,
-after which the underflowing entries are truncated to zero. Atoms with zero
-marginal mass are removed before either solver runs and restored as zero
-rows/columns.
+`solve_sinkhorn` is an entropic solver written here directly: each stage is
+one loop of stabilized scaling (Schmitzer 2019), matrix-vector scalings of a
+kernel with the dual potentials absorbed, rebuilt when the scalings leave
+their bounds. Where the cost is within 64 times the regularization, as for
+cosine costs at reg 0.05, it runs one stage at that regularization,
+over-relaxed with weight 1.5 after its first iteration and plain from the
+first check at which the marginal error rises. A sharper regularization is
+reached through a geometric schedule of plain stages, each warm-started from
+the last, so that it stays cheap; where the kernel would underflow, as at the
+last levels of a reg around 1e-3, a stage starts with one log-sum-exp
+iteration that re-centres the potentials, after which the underflowing entries
+are truncated to zero. Atoms with zero marginal mass are removed before either
+solver runs and restored as zero rows/columns.
 
 Cosine dissimilarity (1 - cosine similarity, range [0, 2]) is the cost used
 throughout the package; its gradient with respect to both feature sets is
@@ -305,9 +305,9 @@ class SinkhornResult:
 
 
 # np.exp of an argument below this is a subnormal double, which is slow. In
-# the log-sum-exp helpers such a term (after the peak shift) is below half an
-# ulp of the sum; in a scaling kernel it becomes an exact zero, the kernel
-# truncation of stabilized scaling (Schmitzer 2019).
+# `_lse` such a term (after the peak shift) is below half an ulp of the sum;
+# in a scaling kernel it becomes an exact zero, the kernel truncation of
+# stabilized scaling (Schmitzer 2019).
 _EXP_FLOOR = -708.0
 # A stage re-centres its potentials first if an absorbed exponent starts below
 # this; the margin above _EXP_FLOOR covers scalings up to _SCALING_BOUND.
@@ -323,116 +323,93 @@ _SCALING_BOUND = 1e50
 # them would only make each iteration dearer.
 _ONE_STAGE_SCALE = 64.0
 _OMEGA = 1.5
+# A stage checks its marginal error every this many iterations.
+_CHECK_EVERY = 5
 
 
-def _lse_rows(matrix):
-    # logsumexp over axis=1, hand-rolled: scipy's version dominates runtime
+def _lse(matrix, axis):
+    # logsumexp along `axis`, hand-rolled: scipy's version dominates runtime
     # at mini-batch sizes through per-call overhead.
-    peak = matrix.max(axis=1)
-    shifted = matrix - peak[:, None]
+    peak = matrix.max(axis=axis, keepdims=True)
+    shifted = matrix - peak
     np.putmask(shifted, shifted < _EXP_FLOOR, -np.inf)
-    out = np.log(np.exp(shifted, out=shifted).sum(axis=1))
-    out += peak
+    out = np.log(np.exp(shifted, out=shifted).sum(axis=axis))
+    out += peak.squeeze(axis)
     return out
 
 
-def _lse_cols(matrix):
-    peak = matrix.max(axis=0)
-    shifted = matrix - peak[None, :]
-    np.putmask(shifted, shifted < _EXP_FLOOR, -np.inf)
-    out = np.log(np.exp(shifted, out=shifted).sum(axis=0))
-    out += peak
-    return out
-
-
-def _scaling_iterations(
-    absorbed, p1, p2, f, g, tol, iterations, max_iter, check_every, omega, error
-):
-    """Sinkhorn passes as matrix-vector scalings of the absorbed kernel.
-
-    With K = exp(absorbed), absorbed = kernel + f + g (overwritten here), the
-    potentials are f + log u and g + log v, starting from u = v = 1, and the
-    plan is u K v, so no exp runs inside the loop. The stage's first pass
-    (`iterations` 0) is plain, u = p1 / (K v), v = p2 / (K^T u); every later
-    one is over-relaxed, u = u^(1 - omega) (p1 / (K v))^omega and likewise v,
-    which at omega = 1 is the plain pass. Counting on from the stage's
-    `iterations` (< max_iter), the marginal error of the current plan is
-    checked at each multiple of `check_every` and at `max_iter`; if it is
-    larger than at the previous check (`error` on entry), omega drops to 1
-    for the rest of the stage. Stops early, at a check, when u or v leaves
-    [1/_SCALING_BOUND, _SCALING_BOUND], so that the caller can absorb them
-    into the potentials and rebuild K. Returns the potentials, the iteration
-    count, the last error and omega.
-    """
+def _absorbed_kernel(absorbed):
+    """exp(absorbed) in place, exponents below _EXP_FLOOR truncated to zero."""
     if absorbed.min() < _EXP_FLOOR:
         np.putmask(absorbed, absorbed < _EXP_FLOOR, -np.inf)
-    kernel = np.exp(absorbed, out=absorbed)
-    u = np.ones(p1.size)
-    v = np.ones(p2.size)
-    kv = kernel.sum(axis=1)
-    while True:
-        for _ in range(min(check_every - iterations % check_every, max_iter - iterations)):
-            if iterations and omega != 1.0:
-                ratio = p1 / (u * kv)
-                u *= ratio**omega
-                ktu = u @ kernel
-                ratio = p2 / (v * ktu)
-                v *= ratio**omega
-            else:
-                u = p1 / kv
-                ktu = u @ kernel
-                v = p2 / ktu
-            kv = kernel @ v
-            iterations += 1
-        row_err = np.abs(u * kv - p1).max()
-        col_err = np.abs(v * ktu - p2).max()
-        if max(row_err, col_err) > error:
-            omega = 1.0
-        error = max(row_err, col_err)
-        if error <= tol or iterations >= max_iter:
-            break
-        if max(u.max(), v.max()) > _SCALING_BOUND or min(u.min(), v.min()) < 1.0 / _SCALING_BOUND:
-            break
-    return f + np.log(u), g + np.log(v), iterations, error, omega
+    return np.exp(absorbed, out=absorbed)
 
 
-def _sinkhorn_stage(kernel, log_p1, log_p2, f, g, tol, max_iter, omega, check_every=5):
+def _sinkhorn_stage(kernel, log_p1, log_p2, f, g, tol, max_iter, omega):
     """Sinkhorn iterations at one regularization level (kernel = -cost/level).
 
-    One loop serves every level: scaling passes on the kernel with the
-    potentials absorbed, re-absorbed when the scalings leave their bounds.
-    Passes after the first are over-relaxed with weight `omega` (1 for plain
-    passes) until the marginal error rises from one check to the next, after
-    which the stage runs plain passes (see `_scaling_iterations`). If
-    an absorbed exponent starts below _RECENTRE_BELOW, the stage's first
-    iteration is instead one log-domain update, which re-centres f and g.
-    After any full iteration the absorbed exponents are the log of the plan:
-    for a nonnegative cost all are <= 0, and each row's largest is
+    One loop serves every level: matrix-vector scalings of K = exp(kernel +
+    f + g), the kernel with the potentials absorbed, so no exp runs inside
+    it. The potentials are f + log u and g + log v from u = v = 1, and the
+    plan is u K v. The first pass is plain, u = p1 / (K v), v = p2 / (K^T u);
+    every later one is over-relaxed, u = u^(1 - omega) (p1 / (K v))^omega and
+    likewise v (omega 1 is the plain pass). The marginal error is checked
+    every _CHECK_EVERY iterations and when the budget runs out; once it rises
+    from one check to the next, omega is 1 for the rest of the stage. When u
+    or v has left [1/_SCALING_BOUND, _SCALING_BOUND] at a check, they are
+    absorbed into f and g and K is rebuilt.
+
+    If an absorbed exponent starts below _RECENTRE_BELOW, the first iteration
+    is instead one log-domain update, which re-centres f and g. After any
+    full iteration the absorbed exponents are the log of the plan: for a
+    nonnegative cost all are <= 0, and each row's largest is
     >= log(p1_i * min p2 / n), so truncating those below _EXP_FLOOR empties
     no row. This holds at every re-absorption, and the next stage (level / 2)
-    starts from log(plan) - cost/level <= 0, so nothing else is tested. The
-    marginal error is checked every `check_every` iterations of the stage,
-    the re-centring one included, and when the budget runs out.
+    starts from log(plan) - cost/level <= 0, so nothing else is tested.
+    Returns the potentials, the iteration count and the last error.
     """
     p1 = np.exp(log_p1)
     p2 = np.exp(log_p2)
     absorbed = kernel + f[:, None] + g[None, :]
     iterations = 0
     if absorbed.min() < _RECENTRE_BELOW:
-        f = log_p1 - _lse_rows(kernel + g[None, :])
-        g = log_p2 - _lse_cols(kernel + f[:, None])
+        f = log_p1 - _lse(kernel + g[None, :], 1)
+        g = log_p2 - _lse(kernel + f[:, None], 0)
         absorbed = kernel + f[:, None] + g[None, :]
         iterations = 1
-        if max_iter == 1:  # the re-centring used the whole budget
-            plan = np.exp(absorbed)
-            return f, g, 1, max(abs(plan.sum(axis=1) - p1).max(), abs(plan.sum(axis=0) - p2).max())
     error = np.inf
     while True:
-        f, g, iterations, error, omega = _scaling_iterations(
-            absorbed, p1, p2, f, g, tol, iterations, max_iter, check_every, omega, error
-        )
-        if error <= tol or iterations >= max_iter:
-            return f, g, iterations, error
+        scaled = _absorbed_kernel(absorbed)
+        u = np.ones(p1.size)
+        v = np.ones(p2.size)
+        kv = scaled.sum(axis=1)
+        # Read only if the re-centring spent the whole budget before any pass.
+        ktu = scaled.sum(axis=0) if iterations == max_iter else None
+        while True:
+            for _ in range(min(_CHECK_EVERY - iterations % _CHECK_EVERY, max_iter - iterations)):
+                if iterations and omega != 1.0:
+                    ratio = p1 / (u * kv)
+                    u *= ratio**omega
+                    ktu = u @ scaled
+                    ratio = p2 / (v * ktu)
+                    v *= ratio**omega
+                else:
+                    u = p1 / kv
+                    ktu = u @ scaled
+                    v = p2 / ktu
+                kv = scaled @ v
+                iterations += 1
+            row_err = np.abs(u * kv - p1).max()
+            col_err = np.abs(v * ktu - p2).max()
+            if max(row_err, col_err) > error:
+                omega = 1.0
+            error = max(row_err, col_err)
+            if error <= tol or iterations >= max_iter:
+                return f + np.log(u), g + np.log(v), iterations, error
+            if max(u.max(), v.max()) > _SCALING_BOUND or min(u.min(), v.min()) < 1.0 / _SCALING_BOUND:
+                break
+        f = f + np.log(u)
+        g = g + np.log(v)
         absorbed = kernel + f[:, None] + g[None, :]
 
 
@@ -456,24 +433,25 @@ def _round_to_polytope(plan, p1, p2):
     return plan
 
 
-def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000, anneal=True):
+def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000):
     """Entropy-regularized coupling via Sinkhorn dual iterations.
 
     A cost with negative entries is shifted to a minimum of 0, which changes
     no entropic plan. If the shifted cost is at most `_ONE_STAGE_SCALE` times
-    `reg` (positive and finite), one over-relaxed stage runs at `reg`. Otherwise,
-    with `anneal` on, the solver walks a geometric schedule of regularization
-    levels from the cost scale down to `reg`, carrying the dual potentials
-    across levels, which keeps small `reg` values from needing tens of
-    thousands of iterations; with it off, one plain stage runs at `reg`. Every
-    stage is one scaling loop on the kernel with the potentials absorbed,
-    after one log-domain re-centring iteration where that kernel would
-    underflow (see `_sinkhorn_stage`). The returned plan is projected onto the
-    coupling polytope, so its marginals hold to machine precision wherever the
-    iteration stopped; `marginal_error` reports the finite pre-projection dual
-    residual and `converged` whether it reached `tol` (nonnegative and finite)
-    within the budget. A plan that is not finite, as when a tiny `reg`
-    underflows whole kernel rows, raises NumericalError.
+    `reg` (positive and finite), one over-relaxed stage runs at `reg`.
+    Otherwise the solver walks a geometric schedule of plain stages, halving
+    the regularization from the cost scale down to `reg` and carrying the
+    dual potentials across levels, which keeps small `reg` values from
+    needing tens of thousands of iterations. Every stage is one scaling loop
+    on the kernel with the potentials absorbed, after one log-domain
+    re-centring iteration where that kernel would underflow (see
+    `_sinkhorn_stage`). The returned plan is projected onto the coupling
+    polytope, so its marginals hold to machine precision wherever the
+    iteration stopped; `marginal_error` reports the finite pre-projection
+    dual residual and `converged` whether it reached `tol` (nonnegative and
+    finite) within the budget. A tiny `reg` underflows whole kernel rows; the
+    schedule stops at the first stage that leaves a potential non-finite, and
+    the non-finite plan raises NumericalError.
     """
     cost, p1, p2 = _check_problem(cost, p1, p2)
     if not (np.isfinite(reg) and reg > 0):
@@ -492,7 +470,7 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000, anneal=True)
     near_scale = active_cost.max() <= _ONE_STAGE_SCALE * reg
     omega = _OMEGA if near_scale else 1.0
     schedule = []
-    if anneal and not near_scale:
+    if not near_scale:
         level = float(active_cost.max())
         while level > reg * 2.0:
             schedule.append(level)
@@ -512,6 +490,8 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000, anneal=True)
                 -active_cost / level, log_p1, log_p2, f, g, stage_tol, stage_budget, omega
             )
             total_iterations += used
+            if not (np.isfinite(f).all() and np.isfinite(g).all()):
+                break
         plan = np.exp(-active_cost / schedule[-1] + f[:, None] + g[None, :])
     if not np.isfinite(plan).all():
         raise NumericalError("entropic solver produced non-finite plan entries")

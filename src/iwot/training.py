@@ -292,9 +292,6 @@ def train(source, target, plan, config=None):
         or (plan.use_sa and plan.eta > 0)
         or (plan.use_iot and plan.epsilon > 0)
     )
-    needs_weights = transport_active and (
-        plan.needs_source_weights or plan.needs_target_weights
-    )
     solver_kwargs = _solver_kwargs(config)
 
     history = TrainHistory()
@@ -306,7 +303,7 @@ def train(source, target, plan, config=None):
             batch_x = source.features[idx_s]
             batch_y = source.labels[idx_s]
             try:
-                if (transport_active or needs_weights) and not in_warmup:
+                if transport_active and not in_warmup:
                     idx_t = target_sampler.take(config.batch_size)
                     record = _adaptation_step(
                         model, plan, config, solver_kwargs,

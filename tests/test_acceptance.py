@@ -417,9 +417,7 @@ class TestMetricAndScaling:
             samples = []
             for _ in range(7):
                 t0 = time.perf_counter()
-                ot.solve_sinkhorn(
-                    cost, uniform, uniform, reg=0.05, tol=1e-300, max_iter=iters, anneal=False
-                )
+                ot.solve_sinkhorn(cost, uniform, uniform, reg=0.05, tol=1e-300, max_iter=iters)
                 samples.append((time.perf_counter() - t0) / iters)
             medians[n] = float(np.median(samples))
         c = medians[64] / 64**2

@@ -5,9 +5,10 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 
-from iwot import cli, nets
+from iwot import cli, nets, ot
 from iwot.cli import main
 from iwot.data import LabelSplit, load_dataset
 from iwot.training import TrainConfig, load_history_csv
@@ -297,18 +298,56 @@ class TestTrainEval:
         assert not os.path.exists(os.path.join(out, "manifest_train.json"))
         assert_manifests_complete(out)
 
-    def test_tiny_sinkhorn_reg_is_one_line_numerical_error(self, generated, tmp_path, capsys):
+    def test_tiny_sinkhorn_reg_is_one_line_numerical_error(
+        self, generated, tmp_path, capsys, monkeypatch
+    ):
         # At reg 1e-300 whole kernel rows underflow; the solve must end in the
-        # non-finite-plan error alone, without NumPy's divide-by-zero warning.
+        # non-finite-plan error alone, without NumPy's divide-by-zero warning,
+        # and stop at the first stage with non-finite potentials instead of
+        # walking the ~1000 levels of the schedule down to 1e-300.
         _, out = generated
         config = write_config(tmp_path, BASE_CONFIG + "sinkhorn_reg = 1e-300\n", "tiny.ini")
+        stages = []
+        real_stage = ot._sinkhorn_stage
+
+        def stage(*args):
+            stages.append(args)
+            return real_stage(*args)
+
+        monkeypatch.setattr(ot, "_sinkhorn_stage", stage)
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run(["train", "--config", config, "--out", out]) == 4
         assert caught == []
+        assert 0 < len(stages) <= 100
         err = capsys.readouterr().err
         assert err == "numerical error: entropic solver produced non-finite plan entries\n"
+        for name in ("manifest_train.json", "checkpoint.json", "history.csv"):
+            assert not os.path.exists(os.path.join(out, name))
+
+    def test_corrupt_dataset_dim_is_io_error(self, generated, capsys, monkeypatch):
+        # A `dim` header of 1e11 over one sample line is a format error on
+        # line 7, found before any count x dim allocation is attempted.
+        config, out = generated
+        path = os.path.join(out, "source.txt")
+        lines = open(path, encoding="utf-8").read().split("\n")
+        lines[2] = "dim 100000000000"
+        lines[5] = "count 1"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines[:7]) + "\n")
+        real_empty = np.empty
+
+        def empty(shape, *args, **kwargs):
+            assert np.prod(shape, dtype=float) < 1e8, "allocating %r" % (shape,)
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
+        capsys.readouterr()
+        assert run(["train", "--config", config, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input/output error: ") and err.count("\n") == 1
+        assert "line 7: expected 100000000001 fields, found 9" in err
         for name in ("manifest_train.json", "checkpoint.json", "history.csv"):
             assert not os.path.exists(os.path.join(out, name))
 

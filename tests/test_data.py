@@ -229,6 +229,22 @@ class TestDatasetFile:
         with pytest.raises(DataFormatError, match="line 8"):
             load_dataset(self.write_lines(tmp_path, lines))
 
+    def test_corrupt_dim_fails_before_allocating(self, tmp_path, monkeypatch):
+        # A dim of 1e11 would ask for a 745 GiB feature matrix; the width of
+        # line 7 must be checked first, so no allocation of that size is made.
+        lines = self.valid_lines()[:-1]
+        lines[2] = "dim 100000000000"
+        lines[5] = "count 1"
+        real_empty = np.empty
+
+        def empty(shape, *args, **kwargs):
+            assert np.prod(shape, dtype=float) < 1e6, "allocating %r" % (shape,)
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
+        with pytest.raises(DataFormatError, match="^line 7: expected 100000000001 fields, found 3$"):
+            load_dataset(self.write_lines(tmp_path, lines))
+
     def test_non_numeric_feature(self, tmp_path):
         lines = self.valid_lines()
         lines[7] = "1 3.5 abc"

@@ -1,5 +1,6 @@
 """Transport solvers: cost construction, exact/entropic solves, oracle agreement."""
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -499,19 +500,28 @@ class TestSolveSinkhorn:
         assert values[-1] >= exact - 1e-9
         assert values[-1] - exact < values[0] - exact + 1e-12
 
-    def test_non_convergence_is_reported_not_raised(self):
+    def test_non_convergence_is_reported_not_raised(self, stage_paths):
         rng = np.random.default_rng(22)
         cost = rng.uniform(0, 2, (6, 6))
         u = np.full(6, 1.0 / 6)
-        # At max_iter=1 the re-centring iteration (every exponent starts below
-        # -600 at reg 1e-4) uses the whole budget; its residual is still measured.
+        kernel, log_u, zeros = -cost / 1e-4, np.log(u), np.zeros(6)
+        # At level 1e-4 every exponent starts below -600, so the stage's first
+        # iteration re-centres; at max_iter=1 it uses the whole budget, and the
+        # residual of its plan is still measured.
         for max_iter in (3, 1):
-            result = solve_sinkhorn(
-                cost, u, u, reg=1e-4, tol=1e-12, max_iter=max_iter, anneal=False
+            stage_paths.clear()
+            f, g, iterations, error = ot._sinkhorn_stage(
+                kernel, log_u, log_u, zeros, zeros, 1e-12, max_iter, 1.0
             )
-            assert not result.converged
-            assert result.iterations == max_iter
-            assert np.isfinite(result.marginal_error)
+            assert stage_paths == [["recentre", "scaling"]]
+            assert iterations == max_iter
+            plan = np.exp(kernel + f[:, None] + g[None, :])
+            residual = max(np.abs(plan.sum(axis=1) - u).max(), np.abs(plan.sum(axis=0) - u).max())
+            assert 1e-12 < error and np.isfinite(error)
+            assert_allclose(error, residual, rtol=1e-9)
+        result = solve_sinkhorn(cost, u, u, reg=1e-4, tol=1e-12, max_iter=3)
+        assert not result.converged
+        assert np.isfinite(result.marginal_error)
 
     def test_invalid_reg_rejected(self):
         for reg in (0.0, -1.0, np.nan, np.inf):
@@ -529,11 +539,10 @@ class TestSolveSinkhorn:
         rng = np.random.default_rng(24)
         cost = rng.uniform(-2.0, -1.0, (5, 6))
         p1, p2 = random_marginal(rng, 5), random_marginal(rng, 6)
-        for anneal in (True, False):
-            result = solve_sinkhorn(cost, p1, p2, reg=1e-3, anneal=anneal)
-            shifted = solve_sinkhorn(cost - cost.min(), p1, p2, reg=1e-3, anneal=anneal)
-            assert np.isfinite(result.marginal_error)
-            assert (result.coupling == shifted.coupling).all()
+        result = solve_sinkhorn(cost, p1, p2, reg=1e-3)
+        shifted = solve_sinkhorn(cost - cost.min(), p1, p2, reg=1e-3)
+        assert np.isfinite(result.marginal_error)
+        assert (result.coupling == shifted.coupling).all()
 
     def test_zero_marginal_entries_give_zero_rows(self):
         rng = np.random.default_rng(23)
@@ -545,8 +554,8 @@ class TestSolveSinkhorn:
 
 
 def anneal_levels(cost, reg):
-    """The regularization levels `solve_sinkhorn` walks with `anneal` on: one
-    level when the cost is within `_ONE_STAGE_SCALE` times reg."""
+    """The regularization levels `solve_sinkhorn` walks: one level when the
+    cost is within `_ONE_STAGE_SCALE` times reg."""
     level, levels = float(cost.max()), []
     if level <= ot._ONE_STAGE_SCALE * reg:
         return [reg]
@@ -563,11 +572,11 @@ def learned_marginal(rng, n):
 
 
 # Taken before any test can replace them with recording wrappers.
-LSE_ROWS, LSE_COLS = ot._lse_rows, ot._lse_cols
+LSE_ROWS = functools.partial(ot._lse, axis=1)
+LSE_COLS = functools.partial(ot._lse, axis=0)
 
 
-def log_domain_stage(kernel, log_p1, log_p2, p1, p2, f, g, tol, max_iter, omega=1.0,
-                     check_every=5):
+def log_domain_stage(kernel, log_p1, log_p2, p1, p2, f, g, tol, max_iter, omega=1.0):
     """Reference for one stage: log-sum-exp dual updates, safe for any
     exponent range, with the marginal error checked where `_sinkhorn_stage`
     checks it. Every iteration after the first is over-relaxed,
@@ -577,7 +586,7 @@ def log_domain_stage(kernel, log_p1, log_p2, p1, p2, f, g, tol, max_iter, omega=
     iterations = 0
     error = np.inf
     while iterations < max_iter:
-        for _ in range(min(check_every, max_iter - iterations)):
+        for _ in range(min(ot._CHECK_EVERY, max_iter - iterations)):
             weight = omega if iterations else 1.0
             f = (1.0 - weight) * f + weight * (log_p1 - LSE_ROWS(kernel + g[None, :]))
             g = (1.0 - weight) * g + weight * (log_p2 - LSE_COLS(kernel + f[:, None]))
@@ -596,23 +605,27 @@ def log_domain_stage(kernel, log_p1, log_p2, p1, p2, f, g, tol, max_iter, omega=
 @pytest.fixture()
 def stage_paths(monkeypatch):
     """Per `_sinkhorn_stage` call, what it ran, in order: "recentre" for the
-    log-domain re-centring iteration, "scaling" for each scaling-loop run."""
+    log-domain re-centring iteration (its row log-sum-exp), "scaling" for each
+    kernel build of the scaling loop."""
     stages = []
-    real_stage = ot._sinkhorn_stage
+    real_stage, real_kernel, real_lse = ot._sinkhorn_stage, ot._absorbed_kernel, ot._lse
 
     def stage(*args, **kwargs):
         stages.append([])
         return real_stage(*args, **kwargs)
 
+    def kernel(absorbed):
+        stages[-1].append("scaling")
+        return real_kernel(absorbed)
+
+    def lse(matrix, axis):
+        if axis == 1:
+            stages[-1].append("recentre")
+        return real_lse(matrix, axis)
+
     monkeypatch.setattr(ot, "_sinkhorn_stage", stage)
-    for name, label in (("_scaling_iterations", "scaling"), ("_lse_rows", "recentre")):
-        real = getattr(ot, name)
-
-        def wrapper(*args, _real=real, _label=label):
-            stages[-1].append(_label)
-            return _real(*args)
-
-        monkeypatch.setattr(ot, name, wrapper)
+    monkeypatch.setattr(ot, "_absorbed_kernel", kernel)
+    monkeypatch.setattr(ot, "_lse", lse)
     return stages
 
 
@@ -661,8 +674,8 @@ class TestSinkhornStages:
         assert stage_paths and all(paths == ["scaling"] for paths in stage_paths)
 
     def test_stage_schedule_follows_the_cost_scale(self, monkeypatch):
-        # One over-relaxed stage while cost.max() <= _ONE_STAGE_SCALE * reg,
-        # with or without `anneal`; above that, the annealed plain schedule.
+        # One over-relaxed stage while cost.max() <= _ONE_STAGE_SCALE * reg;
+        # above that, the annealed plain schedule.
         calls = []
         real_stage = ot._sinkhorn_stage
 
@@ -674,14 +687,12 @@ class TestSinkhornStages:
         rng = np.random.default_rng(34)
         base = rng.uniform(0.0, 1.0, (12, 10))
         p1, p2 = learned_marginal(rng, 12), learned_marginal(rng, 10)
-        for top, reg, anneal in ((1.0, 1.0 / 64, True), (1.0, 1.0 / 64, False),
-                                 (1.0, 0.999 / 64, True), (2.0, 1e-3, True)):
+        for top, reg in ((1.0, 1.0 / 64), (1.0, 0.999 / 64), (2.0, 1e-3)):
             cost = base * (top / base.max())
             calls.clear()
-            solve_sinkhorn(cost, p1, p2, reg=reg, anneal=anneal)
+            solve_sinkhorn(cost, p1, p2, reg=reg)
             levels = [-top / kernel_min for kernel_min, _ in calls]
-            expected = anneal_levels(cost, reg) if anneal else [reg]
-            assert_allclose(levels, expected, rtol=1e-12)
+            assert_allclose(levels, anneal_levels(cost, reg), rtol=1e-12)
             omega = ot._OMEGA if top <= ot._ONE_STAGE_SCALE * reg else 1.0
             assert [stage_omega for _, stage_omega in calls] == [omega] * len(levels)
 
@@ -725,7 +736,7 @@ class TestSinkhornStages:
 
     def test_absorption_keeps_iterates_and_marginals(self, stage_paths):
         # Atoms of mass ~1e-60 push their scalings below 1/_SCALING_BOUND
-        # within the first check interval of an unannealed solve, long before
+        # within the first check interval of a one-stage solve, long before
         # it converges, so the potentials are absorbed and the kernel rebuilt.
         rng = np.random.default_rng(31)
         cost = cosine_cost(rng.normal(size=(32, 8)), rng.normal(size=(32, 8)))
@@ -741,7 +752,7 @@ class TestSinkhornStages:
             assert any(paths.count("scaling") > 1 for paths in stage_paths)
             assert all("recentre" not in paths for paths in stage_paths)
             assert worst_potential <= 1e-12 and worst_plan <= 1e-12
-        result = solve_sinkhorn(cost, p1, p2, reg=0.05, anneal=False)
+        result = solve_sinkhorn(cost, p1, p2, reg=0.05)
         assert result.converged and result.marginal_error <= 1e-6
         assert validate_coupling(result.coupling, p1, p2, tol=1e-15).passed
 
@@ -776,12 +787,12 @@ class TestSinkhornStages:
         rng = np.random.default_rng(33)
         matrix = rng.uniform(-40.0, 5.0, (40, 30))
         matrix[rng.random((40, 30)) < 0.5] -= 705.0
-        for axis, helper in ((1, ot._lse_rows), (0, ot._lse_cols)):
+        for axis in (1, 0):
             peak = matrix.max(axis=axis, keepdims=True)
             deficit = peak - matrix
             assert ((deficit > 708.0) & (deficit < 745.0)).any()
             plain = np.log(np.exp(matrix - peak).sum(axis=axis)) + peak.squeeze(axis)
-            assert_allclose(helper(matrix), plain, rtol=1e-15, atol=0.0)
+            assert_allclose(ot._lse(matrix, axis), plain, rtol=1e-15, atol=0.0)
 
 
 class TestCouplingCost:

@@ -16,9 +16,10 @@ and `cli` wire everything into runs.
 
 from .data import DomainDataset, LabelSplit, ShiftSpec, generate_pair, load_dataset, save_dataset
 from .errors import ConfigError, DataFormatError, DegenerateInputError, NumericalError
-from .evaluation import EvalReport, Prediction, evaluate, h_score, infer, score_predictions
+from .evaluation import EvalReport, evaluate, h_score, score_predictions
 from .losses import (
     LossGrads,
+    TransportStep,
     TransportTerm,
     WeightAssignment,
     iot_loss,
@@ -27,6 +28,7 @@ from .losses import (
     partial_coupling,
     sa_loss,
     total_loss,
+    transport_step,
     wot_loss,
 )
 from .nets import Mlp, SgdMomentum, cross_entropy, load_checkpoint, save_checkpoint
@@ -55,7 +57,6 @@ __all__ = [
     "LossGrads",
     "Mlp",
     "NumericalError",
-    "Prediction",
     "Setting",
     "SettingPlan",
     "SgdMomentum",
@@ -64,6 +65,7 @@ __all__ = [
     "TrainConfig",
     "TrainHistory",
     "TrainedModel",
+    "TransportStep",
     "TransportTerm",
     "WeightAssignment",
     "cosine_cost",
@@ -72,7 +74,6 @@ __all__ = [
     "evaluate",
     "generate_pair",
     "h_score",
-    "infer",
     "iot_loss",
     "load_checkpoint",
     "load_dataset",
@@ -90,6 +91,7 @@ __all__ = [
     "solve_sinkhorn",
     "total_loss",
     "train",
+    "transport_step",
     "validate_coupling",
     "wot_loss",
     "__version__",

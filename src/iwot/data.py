@@ -68,6 +68,10 @@ class LabelSplit:
         return self.n_common + self.n_source_private
 
     @property
+    def n_target_classes(self):
+        return self.n_common + self.n_target_private
+
+    @property
     def source_classes(self):
         return tuple(range(self.n_common + self.n_source_private))
 
@@ -162,6 +166,18 @@ class DomainDataset:
         return DomainDataset(self.features, None, self.split, self.role, self.seed)
 
 
+def check_array_size(what, rows, cols):
+    """Raise ConfigError if a rows x cols float64 array is larger than NumPy can index.
+
+    Such a size fails in NumPy with a ValueError, not a MemoryError, so it is
+    rejected before any allocation is tried.
+    """
+    if rows * cols * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(
+            "%s of %d x %d floats is larger than NumPy can index" % (what, rows, cols)
+        )
+
+
 def class_means(n_classes, dim, spread):
     """Cluster centers at the vertices of a regular simplex, side 6 * spread.
 
@@ -204,6 +220,9 @@ def _sample_domain(classes, count, means, spread, rng):
     return features[order], labels[order]
 
 
+# Features whose squared norms overflow fail as one ConfigError at the end, so
+# NumPy's overflow warnings on the way there would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def generate_pair(split, n_source, n_target, dim, seed, shift=None):
     """Draw a source/target dataset pair from one class layout.
 
@@ -216,7 +235,10 @@ def generate_pair(split, n_source, n_target, dim, seed, shift=None):
         shift = ShiftSpec()
     if dim < 2:
         raise ConfigError("dim must be at least 2")
-    if n_source < len(split.source_classes) or n_target < len(split.target_classes):
+    for what, rows in (("the class layout", split.n_total), ("the source set", n_source),
+                       ("the target set", n_target)):
+        check_array_size(what, rows, dim)
+    if n_source < split.n_source_classes or n_target < split.n_target_classes:
         raise ConfigError("need at least one sample per class in each domain")
     spread = shift.spread
     means = class_means(split.n_total, dim, spread)
@@ -236,8 +258,7 @@ def generate_pair(split, n_source, n_target, dim, seed, shift=None):
         target_x += target_rng.normal(0.0, shift.noise_std, size=target_x.shape)
     # Every consumer takes norms of the features (the cosine cost), so a
     # squared norm that overflows is as unusable as a non-finite feature.
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = all(np.isfinite(np.einsum("ij,ij->i", x, x)).all() for x in (source_x, target_x))
+    finite = all(np.isfinite(np.einsum("ij,ij->i", x, x)).all() for x in (source_x, target_x))
     if not finite:
         raise ConfigError(
             "spread %g and noise_std %g give features whose squared norm is not finite"

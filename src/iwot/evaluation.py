@@ -43,15 +43,6 @@ def rejects_unknowns(plan):
     return plan.setting in (Setting.UNIDA, Setting.OSDA)
 
 
-@dataclass
-class Prediction:
-    """One sample's verdict: final label (-1 = unknown), weight, and logits."""
-
-    label: int
-    weight: float
-    logits: np.ndarray
-
-
 def predict_batch(model, features, open_set, threshold=WEIGHT_THRESHOLD):
     """Labels, weights and logits for a feature matrix in one pass."""
     if not model.has_finite_params():
@@ -63,17 +54,6 @@ def predict_batch(model, features, open_set, threshold=WEIGHT_THRESHOLD):
     if open_set:
         labels = np.where(weights > threshold, labels, UNKNOWN)
     return labels.astype(np.int64), weights, logits
-
-
-def infer(model, sample, plan, threshold=WEIGHT_THRESHOLD):
-    """Classify one sample under the plan's rejection rule."""
-    sample = np.asarray(sample, dtype=np.float64)
-    if sample.ndim == 1:
-        sample = sample[None, :]
-    if sample.shape[0] != 1:
-        raise ValueError("infer takes a single sample; use predict_batch for batches")
-    labels, weights, logits = predict_batch(model, sample, rejects_unknowns(plan), threshold)
-    return Prediction(int(labels[0]), float(weights[0]), logits[0])
 
 
 def h_score(common_acc, unknown_acc):

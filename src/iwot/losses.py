@@ -12,6 +12,11 @@ the uniform distribution. Instance weights enter as marginals: the raw
 sigmoid outputs of the weight head are normalized over the batch to a
 probability vector.
 
+`transport_step` runs the transport side of one adaptation step: it builds
+each side's marginal from the setting plan, solves and scores the terms the
+plan uses, and returns them as one TransportStep; `loss_backward` takes that
+step and returns the feature and raw-weight gradients of both sides.
+
 Gradients use a frozen-plan scheme. Each solved plan is treated as a constant
 of the current step: the feature gradient flows through the cost matrix
 entries the plans touch, and the marginal gradient of a transport value keeps
@@ -61,6 +66,10 @@ class TransportTerm:
     coupling: np.ndarray
     cost: np.ndarray
     converged: bool
+
+
+# The two sides of every (source, target) pair below, in order.
+SIDES = ("source", "target")
 
 
 def _solve(cost, p1, p2, solver, reg, tol, max_iter):
@@ -160,18 +169,65 @@ def total_loss(classification, transport, separation, intra, plan):
 
 
 @dataclass
-class LossGrads:
-    """Gradients of the transport-side losses wrt features and raw weights.
+class TransportStep:
+    """The transport side of one adaptation step: its inputs and solved terms.
 
-    Feature gradients cover the transport, separation and intra terms (the
-    classification path is backpropagated separately by the caller). Raw
-    weight gradients are None for domains whose weights the plan never uses.
+    `features` and `weights` are (source, target) pairs; a side whose weights
+    the plan never uses holds None. `partial` and `iot` are None, and
+    `separation` is 0.0, when the plan turns their term off.
     """
 
-    source_features: np.ndarray
-    target_features: np.ndarray
-    source_raw: np.ndarray | None
-    target_raw: np.ndarray | None
+    features: tuple
+    weights: tuple
+    wot: TransportTerm
+    partial: np.ndarray | None
+    separation: float
+    iot: TransportTerm | None
+
+    @property
+    def converged(self):
+        return self.wot.converged and (self.iot is None or self.iot.converged)
+
+
+def transport_step(plan, source_features, target_features, weights, **solve):
+    """Solve and score the transport terms the plan asks for on one batch pair.
+
+    `weights` holds a WeightAssignment (or None) per side, source first. A
+    side whose marginal the plan learns transports its normalized weights,
+    the other side is uniform; the intra-domain term, if any, scores the side
+    `plan.iot_domain` names from that side's weights. `solve` (solver, reg,
+    tol, max_iter) goes to wot_loss and iot_loss.
+    """
+    features = (source_features, target_features)
+    needed = (plan.needs_source_weights, plan.needs_target_weights)
+    weights = tuple(w if need else None for w, need in zip(weights, needed))
+    marginals = [
+        w.normalized if learned == LEARNED else np.full(len(f), 1.0 / len(f))
+        for f, w, learned in zip(features, weights, (plan.source_marginal, plan.target_marginal))
+    ]
+    wot = wot_loss(*features, *marginals, **solve)
+    partial, separation, iot = None, 0.0, None
+    if plan.use_sa:
+        partial = partial_coupling(wot.coupling, wot.cost, wot.value)
+        separation = sa_loss(wot.coupling, partial, wot.cost)
+    if plan.use_iot:
+        side = SIDES.index(plan.iot_domain)
+        iot = iot_loss(features[side], weights[side].normalized, **solve)
+    return TransportStep(features, weights, wot, partial, separation, iot)
+
+
+@dataclass
+class LossGrads:
+    """Gradients of the transport-side losses, each a (source, target) pair.
+
+    `features` covers the transport, separation and intra terms (the
+    classification path is backpropagated separately by the caller). `raw`
+    holds the gradient wrt each side's raw sigmoid weights, None on a side
+    whose weights the plan never uses.
+    """
+
+    features: tuple
+    raw: tuple
 
 
 def _conditional_cost_rows(coupling, cost, marginal):
@@ -189,79 +245,41 @@ def _through_normalization(grad_normalized, assignment):
     return (grad_normalized - float(grad_normalized @ assignment.normalized)) / total
 
 
-def loss_backward(
-    plan,
-    source_features,
-    target_features,
-    coupling,
-    cost,
-    partial=None,
-    source_weights=None,
-    target_weights=None,
-    iot_coupling=None,
-    iot_cost=None,
-):
-    """Gradients of beta*transport + eta*separation + epsilon*intra.
+def loss_backward(plan, step):
+    """Gradients of beta*transport + eta*separation + epsilon*intra at a TransportStep.
 
-    All plans (`coupling`, `partial`, `iot_coupling`) are frozen constants of
-    the step. `source_weights` / `target_weights` are WeightAssignment objects
-    for the domains whose weights the plan consumes, and the returned raw
-    gradients are with respect to the sigmoid outputs that produced them.
+    Every plan of the step is a frozen constant. The raw gradients are with
+    respect to the sigmoid outputs behind `step.weights`.
     """
-    source_features = np.asarray(source_features, dtype=np.float64)
-    target_features = np.asarray(target_features, dtype=np.float64)
-    coupling = np.asarray(coupling, dtype=np.float64)
-    cost = np.asarray(cost, dtype=np.float64)
-    if plan.use_sa and partial is None:
-        raise ValueError("plan uses the separation term but no partial plan was given")
-    if plan.use_iot and (iot_coupling is None or iot_cost is None):
-        raise ValueError("plan uses the intra term but no intra plan/cost was given")
-    if plan.needs_source_weights and source_weights is None:
-        raise ValueError("plan needs source weights but none were given")
-    if plan.needs_target_weights and target_weights is None:
-        raise ValueError("plan needs target weights but none were given")
-
+    features = [np.asarray(f, dtype=np.float64) for f in step.features]
+    coupling, cost, partial = step.wot.coupling, step.wot.cost, step.partial
     upstream = plan.beta * coupling
     if plan.use_sa:
-        partial = np.asarray(partial, dtype=np.float64)
         delta = 1.0 - np.exp(-(coupling - partial))
         upstream = upstream + plan.eta * (partial - delta)
-    grad_src, grad_tgt = ot.cosine_cost_grad(source_features, target_features, upstream)
+    grads = list(ot.cosine_cost_grad(*features, upstream))
 
-    if plan.use_iot:
-        iot_coupling = np.asarray(iot_coupling, dtype=np.float64)
-        iot_cost = np.asarray(iot_cost, dtype=np.float64)
-        domain = source_features if plan.iot_domain == "source" else target_features
-        left, right = ot.cosine_cost_grad(domain, domain, plan.epsilon * iot_coupling)
-        if plan.iot_domain == "source":
-            grad_src = grad_src + left + right
-        else:
-            grad_tgt = grad_tgt + left + right
-
-    source_raw = None
-    if plan.needs_source_weights:
-        grad_norm = np.zeros_like(source_weights.normalized)
-        if plan.source_marginal == LEARNED:
-            grad_norm += plan.beta * _conditional_cost_rows(
-                coupling, cost, source_weights.normalized
+    # Each side's rows of the cross-domain plan: the plan itself for the
+    # source, its transpose for the target.
+    rows = ((coupling, cost), (coupling.T, cost.T))
+    learned = (plan.source_marginal, plan.target_marginal)
+    raw = [None, None]
+    for side, name in enumerate(SIDES):
+        intra = plan.use_iot and plan.iot_domain == name
+        if intra:
+            left, right = ot.cosine_cost_grad(
+                features[side], features[side], plan.epsilon * step.iot.coupling
             )
-        if plan.use_iot and plan.iot_domain == "source":
+            grads[side] = grads[side] + left + right
+        weights = step.weights[side]
+        if weights is None:
+            continue
+        grad_norm = np.zeros_like(weights.normalized)
+        if learned[side] == LEARNED:
+            grad_norm += plan.beta * _conditional_cost_rows(*rows[side], weights.normalized)
+        if intra:
             grad_norm += plan.epsilon * _conditional_cost_rows(
-                iot_coupling, iot_cost, source_weights.normalized
+                step.iot.coupling, step.iot.cost, weights.normalized
             )
-        source_raw = _through_normalization(grad_norm, source_weights)
-
-    target_raw = None
-    if plan.needs_target_weights:
-        grad_norm = np.zeros_like(target_weights.normalized)
-        if plan.target_marginal == LEARNED:
-            grad_norm += plan.beta * _conditional_cost_rows(
-                coupling.T, cost.T, target_weights.normalized
-            )
-        if plan.use_iot and plan.iot_domain == "target":
-            grad_norm += plan.epsilon * _conditional_cost_rows(
-                iot_coupling, iot_cost, target_weights.normalized
-            )
-        target_raw = _through_normalization(grad_norm, target_weights)
-
-    return LossGrads(grad_src, grad_tgt, source_raw, target_raw)
+        raw[side] = _through_normalization(grad_norm, weights)
+    return LossGrads(tuple(grads), tuple(raw))

@@ -1,19 +1,22 @@
 """Mini-batch training: alternate transport solves with SGD on the networks.
 
-Each optimization step samples one batch per domain, solves the transport
-plans the setting asks for on the current features, and then updates all
-networks by backpropagating the frozen-plan gradients. Target labels are
-stripped before the loop starts, so nothing downstream can touch them.
+Each step samples a source batch and, after the warm-up, a target batch. One
+step function trains the classification loss alone without a target batch;
+with one, it first runs the transport side (`losses.transport_step`) and
+then backpropagates the frozen-plan gradients into all networks. Target
+labels are stripped before the loop starts, so nothing can touch them.
 
 Per-step loss terms land in a TrainHistory whose CSV round-trips exactly
 (header `step,epoch,classification,transport,separation,intra,total,converged`,
 floats written as %.17g). A step whose batch is numerically degenerate (for
-example a zero-norm feature row) falls back to a supervised step, with a
-warning, and is recorded as one. A step whose activations, loss or updated
-parameters are not finite (the run diverged, say from too large a learning
-rate) raises NumericalError naming the step; so do solver hard failures.
+example a zero-norm feature row) falls back to a classification-only step and
+is recorded as one; the run ends with one warning that counts these steps. A
+step whose activations, loss or updated parameters are not finite (the run
+diverged, say from too large a learning rate) raises NumericalError naming the
+step; so do solver hard failures.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field, fields
@@ -21,11 +24,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import losses
-from .data import DomainDataset
+from .data import DomainDataset, check_array_size
 from .errors import ConfigError, DataFormatError, DegenerateInputError, NumericalError
 from .fileio import atomic_write_text, format_float
 from .nets import Mlp, SgdMomentum, cross_entropy
-from .settings import LEARNED
 
 log = logging.getLogger(__name__)
 
@@ -66,8 +68,8 @@ class TrainConfig:
             raise ConfigError("momentum must be in [0, 1)")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be nonnegative")
-        if self.weight_lr_scale <= 0:
-            raise ConfigError("weight_lr_scale must be positive")
+        if self.weight_lr_scale <= 0 or self.learning_rate * self.weight_lr_scale <= 0:
+            raise ConfigError("weight_lr_scale and learning_rate * weight_lr_scale must be > 0")
         if self.solver not in ("exact", "sinkhorn"):
             raise ConfigError("solver must be 'exact' or 'sinkhorn'")
         if self.sinkhorn_reg <= 0:
@@ -204,11 +206,10 @@ class TrainedModel:
 
 def build_model(input_dim, n_classes, config, rng):
     """Fresh networks: ReLU feature extractor, linear classifier, sigmoid weight head."""
-    feature = Mlp.init(
-        [input_dim, config.hidden_dim, config.hidden_dim, config.feature_dim],
-        ["relu", "relu", "identity"],
-        rng,
-    )
+    widths = [input_dim, config.hidden_dim, config.hidden_dim, config.feature_dim]
+    for fan_in, fan_out in zip(widths, widths[1:] + [n_classes]):
+        check_array_size("a weight matrix", fan_in, fan_out)
+    feature = Mlp.init(widths, ["relu", "relu", "identity"], rng)
     classifier = Mlp.init([config.feature_dim, n_classes], ["identity"], rng)
     weight = Mlp.init([config.feature_dim, 1], ["sigmoid"], rng)
     return TrainedModel(feature, classifier, weight)
@@ -227,15 +228,6 @@ _QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 def _check_finite(step, name, value):
     if not np.isfinite(value).all():
         raise NumericalError("training diverged at step %d: %s is not finite" % (step, name))
-
-
-def _solver_kwargs(config):
-    return dict(
-        solver=config.solver,
-        reg=config.sinkhorn_reg,
-        tol=config.sinkhorn_tol,
-        max_iter=config.sinkhorn_max_iter,
-    )
 
 
 def train(source, target, plan, config=None):
@@ -269,17 +261,14 @@ def train(source, target, plan, config=None):
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     model = build_model(source.dim, n_classes, config, rng)
-    feature_opt = SgdMomentum(
-        model.feature_net, config.learning_rate, config.momentum, config.weight_decay
-    )
-    classifier_opt = SgdMomentum(
-        model.classifier_net, config.learning_rate, config.momentum, config.weight_decay
-    )
-    weight_opt = SgdMomentum(
-        model.weight_net,
-        config.learning_rate * config.weight_lr_scale,
-        config.momentum,
-        config.weight_decay,
+    # Feature extractor, classifier, weight head; the head's rate is scaled.
+    optimizers = tuple(
+        SgdMomentum(net, config.learning_rate * scale, config.momentum, config.weight_decay)
+        for net, scale in (
+            (model.feature_net, 1.0),
+            (model.classifier_net, 1.0),
+            (model.weight_net, config.weight_lr_scale),
+        )
     )
 
     source_sampler = EpochSampler(source.n, rng)
@@ -292,39 +281,28 @@ def train(source, target, plan, config=None):
         or (plan.use_sa and plan.eta > 0)
         or (plan.use_iot and plan.epsilon > 0)
     )
-    solver_kwargs = _solver_kwargs(config)
 
     history = TrainHistory()
-    step = 0
+    step = fallbacks = 0
     for epoch in range(config.epochs):
         in_warmup = epoch < config.warmup_epochs
         for _ in range(steps_per_epoch):
             idx_s = source_sampler.take(config.batch_size)
-            batch_x = source.features[idx_s]
-            batch_y = source.labels[idx_s]
+            batch = source.features[idx_s], source.labels[idx_s]
+            target_x = None
+            if transport_active and not in_warmup:
+                target_x = target.features[target_sampler.take(config.batch_size)]
             try:
-                if transport_active and not in_warmup:
-                    idx_t = target_sampler.take(config.batch_size)
-                    record = _adaptation_step(
-                        model, plan, config, solver_kwargs,
-                        batch_x, batch_y, target.features[idx_t],
-                        feature_opt, classifier_opt, weight_opt,
-                        step, epoch,
-                    )
-                else:
-                    record = _supervised_step(
-                        model, batch_x, batch_y, feature_opt, classifier_opt, step, epoch
-                    )
+                record = _step(model, plan, config, optimizers, batch, target_x, step, epoch)
             except DegenerateInputError as exc:
                 # A degenerate batch (collapsed features, all-zero weights)
                 # cannot support a transport solve, but supervision must not
                 # stop: the classification gradient is what pulls the
                 # features back apart. Raised before any optimizer update,
-                # so degrading to a supervised step is safe.
-                log.warning("transport degenerate at step %d, supervised fallback: %s", step, exc)
-                record = _supervised_step(
-                    model, batch_x, batch_y, feature_opt, classifier_opt, step, epoch
-                )
+                # so degrading to a classification-only step is safe.
+                log.info("transport degenerate at step %d, supervised fallback: %s", step, exc)
+                fallbacks += 1
+                record = _step(model, plan, config, optimizers, batch, None, step, epoch)
             _check_finite(step, "the total loss", record.total)
             if not model.has_finite_params():
                 raise NumericalError(
@@ -340,111 +318,63 @@ def train(source, target, plan, config=None):
                 sum(r.total for r in epoch_records) / len(epoch_records),
                 len(epoch_records),
             )
+    if fallbacks:
+        log.warning(
+            "%d of %d steps fell back to supervision on a degenerate batch", fallbacks, step
+        )
     return model, history
 
 
 @_QUIET_OVERFLOW
-def _supervised_step(model, batch_x, batch_y, feature_opt, classifier_opt, step, epoch):
-    feats, trace_f = model.feature_net.forward(batch_x)
-    logits, trace_c = model.classifier_net.forward(feats)
+def _step(model, plan, config, optimizers, batch, target_x, step, epoch):
+    """One SGD step on a labeled source batch, adapting to `target_x` unless it is None.
+
+    With `target_x` None only the classification loss is trained. Otherwise
+    the transport side runs first: everything that can raise
+    DegenerateInputError (weight normalization, the solves) comes before the
+    first optimizer update.
+    """
+    batch_x, batch_y = batch
+    batches = (batch_x,) if target_x is None else (batch_x, target_x)
+    feats, traces = zip(*(model.feature_net.forward(x) for x in batches))
+    logits, trace_c = model.classifier_net.forward(feats[0])
     l_c, dlogits = cross_entropy(logits, batch_y)
-    grads_c, dfeats = model.classifier_net.backward(trace_c, dlogits)
-    grads_f, _ = model.feature_net.backward(trace_f, dfeats)
-    classifier_opt.step(grads_c)
-    feature_opt.step(grads_f)
-    return StepRecord(step, epoch, l_c, 0.0, 0.0, 0.0, l_c, True)
-
-
-@_QUIET_OVERFLOW
-def _adaptation_step(
-    model, plan, config, solver_kwargs,
-    batch_x, batch_y, target_x,
-    feature_opt, classifier_opt, weight_opt,
-    step, epoch,
-):
-    feats_s, trace_s = model.feature_net.forward(batch_x)
-    feats_t, trace_t = model.feature_net.forward(target_x)
-    logits, trace_c = model.classifier_net.forward(feats_s)
-    l_c, dlogits = cross_entropy(logits, batch_y)
-    # Checked before any term that rejects non-finite input: the loss covers
-    # the source features and the logits.
-    _check_finite(step, "the classification loss", l_c)
-    _check_finite(step, "the target features", feats_t)
-
-    weights_s = weights_t = None
-    trace_ws = trace_wt = None
-    if plan.needs_source_weights:
-        raw_s, trace_ws = model.weight_net.forward(feats_s)
-        _check_finite(step, "a source instance weight", raw_s)
-        weights_s = losses.normalize_weights(raw_s[:, 0])
-    if plan.needs_target_weights:
-        raw_t, trace_wt = model.weight_net.forward(feats_t)
-        _check_finite(step, "a target instance weight", raw_t)
-        weights_t = losses.normalize_weights(raw_t[:, 0])
-
-    marginal_s = (
-        weights_s.normalized
-        if plan.source_marginal == LEARNED
-        else np.full(len(batch_x), 1.0 / len(batch_x))
-    )
-    marginal_t = (
-        weights_t.normalized
-        if plan.target_marginal == LEARNED
-        else np.full(len(target_x), 1.0 / len(target_x))
-    )
-
-    wot = losses.wot_loss(feats_s, feats_t, marginal_s, marginal_t, **solver_kwargs)
-    converged = wot.converged
-
-    partial = None
-    l_sa = 0.0
-    if plan.use_sa:
-        partial = losses.partial_coupling(wot.coupling, wot.cost, wot.value)
-        l_sa = losses.sa_loss(wot.coupling, partial, wot.cost)
-
-    iot = None
-    l_iot = 0.0
-    if plan.use_iot:
-        iot_feats = feats_s if plan.iot_domain == "source" else feats_t
-        iot_weights = weights_s if plan.iot_domain == "source" else weights_t
-        iot = losses.iot_loss(iot_feats, iot_weights.normalized, **solver_kwargs)
-        l_iot = iot.value
-        converged = converged and iot.converged
-
-    total = losses.total_loss(l_c, wot.value, l_sa, l_iot, plan)
-
-    grads = losses.loss_backward(
-        plan,
-        feats_s,
-        feats_t,
-        wot.coupling,
-        wot.cost,
-        partial=partial,
-        source_weights=weights_s,
-        target_weights=weights_t,
-        iot_coupling=None if iot is None else iot.coupling,
-        iot_cost=None if iot is None else iot.cost,
-    )
-
     grads_c, dfeats_cls = model.classifier_net.backward(trace_c, dlogits)
-    upstream_s = dfeats_cls + grads.source_features
-    upstream_t = grads.target_features
+    upstream = [dfeats_cls]
+    weight_grads = []
+    terms, total, converged = (0.0, 0.0, 0.0), l_c, True
+    if target_x is not None:
+        # Checked before any term that rejects non-finite input: the loss
+        # covers the source features and the logits.
+        _check_finite(step, "the classification loss", l_c)
+        _check_finite(step, "the target features", feats[1])
+        needed = (plan.needs_source_weights, plan.needs_target_weights)
+        weights, weight_traces = [None, None], [None, None]
+        for side, name in enumerate(losses.SIDES):
+            if needed[side]:
+                raw, weight_traces[side] = model.weight_net.forward(feats[side])
+                _check_finite(step, "a %s instance weight" % name, raw)
+                weights[side] = losses.normalize_weights(raw[:, 0])
+        transport = losses.transport_step(
+            plan, *feats, weights, solver=config.solver, reg=config.sinkhorn_reg,
+            tol=config.sinkhorn_tol, max_iter=config.sinkhorn_max_iter,
+        )
+        intra = 0.0 if transport.iot is None else transport.iot.value
+        terms = (transport.wot.value, transport.separation, intra)
+        total = losses.total_loss(l_c, *terms, plan)
+        converged = transport.converged
+        grads = losses.loss_backward(plan, transport)
+        upstream = [dfeats_cls + grads.features[0], grads.features[1]]
+        for side, raw_grad in enumerate(grads.raw):
+            if raw_grad is not None:
+                wg, dfeats_w = model.weight_net.backward(weight_traces[side], raw_grad[:, None])
+                weight_grads.append(wg)
+                upstream[side] = upstream[side] + dfeats_w
 
-    weight_grads = None
-    if grads.source_raw is not None:
-        weight_grads, dfeats_w = model.weight_net.backward(trace_ws, grads.source_raw[:, None])
-        upstream_s = upstream_s + dfeats_w
-    if grads.target_raw is not None:
-        wg_t, dfeats_w = model.weight_net.backward(trace_wt, grads.target_raw[:, None])
-        weight_grads = wg_t if weight_grads is None else _add_grads(weight_grads, wg_t)
-        upstream_t = upstream_t + dfeats_w
-
-    grads_f_s, _ = model.feature_net.backward(trace_s, upstream_s)
-    grads_f_t, _ = model.feature_net.backward(trace_t, upstream_t)
-
+    feature_grads = [model.feature_net.backward(t, u)[0] for t, u in zip(traces, upstream)]
+    feature_opt, classifier_opt, weight_opt = optimizers
     classifier_opt.step(grads_c)
-    feature_opt.step(_add_grads(grads_f_s, grads_f_t))
-    if weight_grads is not None:
-        weight_opt.step(weight_grads)
-
-    return StepRecord(step, epoch, l_c, wot.value, l_sa, l_iot, total, converged)
+    feature_opt.step(functools.reduce(_add_grads, feature_grads))
+    if weight_grads:
+        weight_opt.step(functools.reduce(_add_grads, weight_grads))
+    return StepRecord(step, epoch, l_c, *terms, total, converged)

@@ -18,6 +18,7 @@ from iwot.losses import (
     partial_coupling,
     sa_loss,
     total_loss,
+    transport_step,
     wot_loss,
 )
 from iwot.nets import cross_entropy
@@ -97,17 +98,19 @@ class TestSolverOracles:
         )
 
 
-def transport_objective(plan, feats_s, feats_t, coupling, partial, iot_coupling, iot_domain):
-    """Every transport-side term with all couplings held constant."""
+def transport_objective(plan, step):
+    """Every transport-side term at the step's features, all couplings held constant."""
+    feats_s, feats_t = step.features
+    coupling, partial = step.wot.coupling, step.partial
     cost = ot.cosine_cost(feats_s, feats_t)
     value = plan.beta * float((coupling * cost).sum())
     if plan.use_sa:
         delta = 1.0 - np.exp(-(coupling - partial))
         value += plan.eta * float((delta * (2.0 - cost)).sum() + (partial * cost).sum())
     if plan.use_iot:
-        domain = feats_s if iot_domain == "source" else feats_t
+        domain = feats_s if plan.iot_domain == "source" else feats_t
         iot_cost = ot.cosine_cost(domain, domain)
-        value += plan.epsilon * float((iot_coupling * iot_cost).sum())
+        value += plan.epsilon * float((step.iot.coupling * iot_cost).sum())
     return value
 
 
@@ -145,38 +148,15 @@ class TestLossContracts:
             rng = np.random.default_rng(seed)
             fs = rng.normal(size=(5, 6))
             ft = rng.normal(size=(4, 6))
-            ws = normalize_weights(rng.uniform(0.2, 0.9, 5))
-            wt = normalize_weights(rng.uniform(0.2, 0.9, 4))
-            p_s = ws.normalized if plan.source_marginal == "learned" else np.full(5, 0.2)
-            p_t = wt.normalized if plan.target_marginal == "learned" else np.full(4, 0.25)
-            wot = wot_loss(fs, ft, p_s, p_t, solver="exact")
-            partial = partial_coupling(wot.coupling, wot.cost, wot.value) if plan.use_sa else None
-            iot = None
-            if plan.use_iot:
-                domain = fs if plan.iot_domain == "source" else ft
-                marg = ws if plan.iot_domain == "source" else wt
-                iot = iot_loss(domain, marg.normalized, solver="exact")
-            grads = loss_backward(
-                plan, fs, ft, wot.coupling, wot.cost,
-                partial=partial,
-                source_weights=ws if plan.needs_source_weights else None,
-                target_weights=wt if plan.needs_target_weights else None,
-                iot_coupling=None if iot is None else iot.coupling,
-                iot_cost=None if iot is None else iot.cost,
+            weights = (
+                normalize_weights(rng.uniform(0.2, 0.9, 5)),
+                normalize_weights(rng.uniform(0.2, 0.9, 4)),
             )
-            frozen = (
-                wot.coupling,
-                partial if partial is not None else 0.0,
-                None if iot is None else iot.coupling,
-            )
-            fd_s = finite_difference(
-                lambda: transport_objective(plan, fs, ft, *frozen, plan.iot_domain), fs
-            )
-            fd_t = finite_difference(
-                lambda: transport_objective(plan, fs, ft, *frozen, plan.iot_domain), ft
-            )
-            worst = max(worst, np.abs(grads.source_features - fd_s).max() / max(np.abs(fd_s).max(), 1e-8))
-            worst = max(worst, np.abs(grads.target_features - fd_t).max() / max(np.abs(fd_t).max(), 1e-8))
+            step = transport_step(plan, fs, ft, weights, solver="exact")
+            grads = loss_backward(plan, step)
+            for grad, feats in zip(grads.features, step.features):
+                fd = finite_difference(lambda: transport_objective(plan, step), feats)
+                worst = max(worst, np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8))
         report(
             4,
             "loss gradients vs central finite differences",

@@ -140,6 +140,28 @@ class TestGeneratePair:
         with pytest.raises(ConfigError):
             generate_pair(split, 5, 100, 8, seed=0)
 
+    @pytest.mark.parametrize(
+        "n_common, n_source, n_target, dim",
+        [(2, 12, 12, 10**20), (2, 12, 12, 2**60), (2, 10**30, 12, 4), (2, 12, 10**30, 4),
+         (10**20, 12, 12, 4)],
+        ids=["dim-1e20", "dim-2^60", "n_source", "n_target", "n_common"],
+    )
+    def test_unindexable_size_fails_before_allocating(
+        self, monkeypatch, n_common, n_source, n_target, dim
+    ):
+        # NumPy cannot describe these arrays (it raises ValueError, not
+        # MemoryError), so they are config errors found before the first
+        # allocation, the class means.
+        real_zeros = np.zeros
+
+        def zeros(shape, *args, **kwargs):
+            assert np.prod(shape, dtype=float) < 1e6, "allocating %r" % (shape,)
+            return real_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", zeros)
+        with pytest.raises(ConfigError, match="larger than NumPy can index$"):
+            generate_pair(LabelSplit(n_common, 1, 0), n_source, n_target, dim, seed=0)
+
     def test_dim_below_total_classes_rejected(self):
         split = LabelSplit(4, 2, 2)
         with pytest.raises(ConfigError):

@@ -11,7 +11,6 @@ from iwot.evaluation import (
     EvalReport,
     evaluate,
     h_score,
-    infer,
     predict_batch,
     rejects_unknowns,
     score_predictions,
@@ -118,8 +117,10 @@ class TestInference:
 
     def test_label_weight_consistency_open_set(self):
         model, _, target = tiny_model()
-        labels, weights, _ = predict_batch(model, target.features, open_set=True)
-        assert ((weights > 0.5) == (labels >= 0)).all()
+        labels, weights, logits = predict_batch(model, target.features, open_set=True)
+        kept = labels >= 0
+        assert (kept == (weights > 0.5)).all()
+        assert (labels[kept] == logits[kept].argmax(axis=1)).all()
 
     def test_closed_set_never_rejects(self):
         model, _, target = tiny_model()
@@ -133,23 +134,6 @@ class TestInference:
             labels, _, _ = predict_batch(model, target.features, True, threshold)
             kept.append(int((labels >= 0).sum()))
         assert kept[0] >= kept[1] >= kept[2]
-
-    def test_infer_single_sample_branches(self):
-        model, _, target = tiny_model()
-        plan = plan_for_setting("osda")
-        labels, weights, _ = predict_batch(model, target.features, True)
-        for i in range(5):
-            pred = infer(model, target.features[i], plan)
-            assert pred.label == labels[i]
-            if pred.weight > 0.5:
-                assert pred.label == int(pred.logits.argmax())
-            else:
-                assert pred.label == -1
-
-    def test_infer_rejects_batch_input(self):
-        model, _, target = tiny_model()
-        with pytest.raises(ValueError):
-            infer(model, target.features[:3], plan_for_setting("osda"))
 
     def test_nan_parameters_rejected(self):
         from iwot.errors import NumericalError

@@ -1,5 +1,7 @@
 """Loss terms: frozen hand values, identities, and finite-difference gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,12 +9,15 @@ from numpy.testing import assert_allclose
 from iwot import ot
 from iwot.errors import DegenerateInputError
 from iwot.losses import (
+    TransportStep,
+    TransportTerm,
     iot_loss,
     loss_backward,
     normalize_weights,
     partial_coupling,
     sa_loss,
     total_loss,
+    transport_step,
     wot_loss,
 )
 from iwot.settings import LEARNED, plan_for_setting
@@ -221,32 +226,34 @@ class TestTotalLoss:
             total_loss(0.0, np.inf, 0.0, 0.0, plan)
 
 
-def frozen_objective(plan, feats_s, feats_t, coupling, partial, iot_coupling, iot_domain):
-    """The transport-side objective with all plans held constant."""
+def frozen_objective(plan, step):
+    """The transport-side objective at the step's features, all plans held constant."""
+    feats_s, feats_t = step.features
+    coupling, partial = step.wot.coupling, step.partial
     cost = ot.cosine_cost(feats_s, feats_t)
     value = plan.beta * float((coupling * cost).sum())
     if plan.use_sa:
         delta = 1.0 - np.exp(-(coupling - partial))
         value += plan.eta * float((delta * (2.0 - cost)).sum() + (partial * cost).sum())
     if plan.use_iot:
-        domain = feats_s if iot_domain == "source" else feats_t
+        domain = feats_s if plan.iot_domain == "source" else feats_t
         iot_cost = ot.cosine_cost(domain, domain)
-        value += plan.epsilon * float((iot_coupling * iot_cost).sum())
+        value += plan.epsilon * float((step.iot.coupling * iot_cost).sum())
     return value
 
 
-def fd_feature_grads(plan, feats_s, feats_t, coupling, partial, iot_coupling, iot_domain, h=1e-6):
+def fd_feature_grads(plan, step, h=1e-6):
     grads = []
-    for arr in (feats_s, feats_t):
+    for arr in step.features:
         fd = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
         while not it.finished:
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + h
-            up = frozen_objective(plan, feats_s, feats_t, coupling, partial, iot_coupling, iot_domain)
+            up = frozen_objective(plan, step)
             arr[idx] = orig - h
-            down = frozen_objective(plan, feats_s, feats_t, coupling, partial, iot_coupling, iot_domain)
+            down = frozen_objective(plan, step)
             arr[idx] = orig
             fd[idx] = (up - down) / (2 * h)
             it.iternext()
@@ -282,37 +289,17 @@ class TestLossBackward:
         plan = plan_for_setting(setting)
         feats_s = rng.normal(size=(n_s, dim))
         feats_t = rng.normal(size=(n_t, dim))
-        weights_s = normalize_weights(rng.uniform(0.2, 0.9, n_s))
-        weights_t = normalize_weights(rng.uniform(0.2, 0.9, n_t))
-        p_s = weights_s.normalized if plan.source_marginal == "learned" else np.full(n_s, 1.0 / n_s)
-        p_t = weights_t.normalized if plan.target_marginal == "learned" else np.full(n_t, 1.0 / n_t)
-        wot = wot_loss(feats_s, feats_t, p_s, p_t, solver="exact")
-        partial = partial_coupling(wot.coupling, wot.cost, wot.value) if plan.use_sa else None
-        iot = None
-        if plan.use_iot:
-            domain = feats_s if plan.iot_domain == "source" else feats_t
-            marg = weights_s if plan.iot_domain == "source" else weights_t
-            iot = iot_loss(domain, marg.normalized, solver="exact")
-        return plan, feats_s, feats_t, weights_s, weights_t, wot, partial, iot
+        weights = (
+            normalize_weights(rng.uniform(0.2, 0.9, n_s)),
+            normalize_weights(rng.uniform(0.2, 0.9, n_t)),
+        )
+        return plan, transport_step(plan, feats_s, feats_t, weights, solver="exact"), weights
 
     def check_feature_fd(self, setting, seed):
-        plan, fs, ft, ws, wt, wot, partial, iot = self.setup_case(setting, seed)
-        grads = loss_backward(
-            plan, fs, ft, wot.coupling, wot.cost,
-            partial=partial,
-            source_weights=ws if plan.needs_source_weights else None,
-            target_weights=wt if plan.needs_target_weights else None,
-            iot_coupling=None if iot is None else iot.coupling,
-            iot_cost=None if iot is None else iot.cost,
-        )
-        fd_s, fd_t = fd_feature_grads(
-            plan, fs, ft, wot.coupling, partial if partial is not None else 0.0,
-            None if iot is None else iot.coupling, plan.iot_domain,
-        )
-        scale_s = max(np.abs(fd_s).max(), 1e-8)
-        scale_t = max(np.abs(fd_t).max(), 1e-8)
-        assert np.abs(grads.source_features - fd_s).max() / scale_s <= 1e-4
-        assert np.abs(grads.target_features - fd_t).max() / scale_t <= 1e-4
+        plan, step, _ = self.setup_case(setting, seed)
+        grads = loss_backward(plan, step)
+        for grad, fd in zip(grads.features, fd_feature_grads(plan, step)):
+            assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8) <= 1e-4
 
     def test_feature_gradients_match_fd_pda(self):
         for seed in (0, 1, 2):
@@ -330,30 +317,33 @@ class TestLossBackward:
         for seed in (7, 8):
             self.check_feature_fd("csda", seed)
 
+    def test_step_keeps_only_the_weights_the_plan_uses(self):
+        for setting in ("pda", "osda", "unida", "csda"):
+            plan, step, weights = self.setup_case(setting, 14)
+            needed = (plan.needs_source_weights, plan.needs_target_weights)
+            assert step.weights == tuple(w if n else None for w, n in zip(weights, needed))
+            grads = loss_backward(plan, step)
+            assert [g is not None for g in grads.raw] == list(needed)
+
     @pytest.mark.parametrize("setting, seed", [("pda", 11), ("osda", 12), ("unida", 13)])
     def test_raw_weight_gradients_match_fd_of_frozen_rows(self, setting, seed):
-        plan, fs, ft, ws, wt, wot, partial, iot = self.setup_case(setting, seed, n_s=12, n_t=10)
-        grads = loss_backward(
-            plan, fs, ft, wot.coupling, wot.cost,
-            partial=partial,
-            source_weights=ws if plan.needs_source_weights else None,
-            target_weights=wt if plan.needs_target_weights else None,
-            iot_coupling=None if iot is None else iot.coupling,
-            iot_cost=None if iot is None else iot.cost,
-        )
+        plan, step, (ws, wt) = self.setup_case(setting, seed, n_s=12, n_t=10)
+        grads = loss_backward(plan, step)
         h = 1e-6
         checked = 0
-        for weights, grad in ((ws, grads.source_raw), (wt, grads.target_raw)):
+        for weights, grad in zip((ws, wt), grads.raw):
             if grad is None:
                 continue
             fd = np.zeros_like(weights.raw)
             for i in range(weights.raw.size):
                 values = []
-                for step in (h, -h):
+                for delta in (h, -h):
                     raw = weights.raw.copy()
-                    raw[i] += step
+                    raw[i] += delta
                     raw_s, raw_t = (raw, wt.raw) if weights is ws else (ws.raw, raw)
-                    values.append(frozen_rows_objective(plan, raw_s, raw_t, ws, wt, wot, iot))
+                    values.append(
+                        frozen_rows_objective(plan, raw_s, raw_t, ws, wt, step.wot, step.iot)
+                    )
                 fd[i] = (values[0] - values[1]) / (2 * h)
             assert np.abs(fd).max() > 1e-4
             assert np.abs(grad - fd).max() / np.abs(fd).max() <= 1e-6
@@ -361,50 +351,50 @@ class TestLossBackward:
         assert checked == 2
 
     def test_zero_couplings_give_zero_gradients(self):
-        plan, fs, ft, ws, wt, wot, partial, iot = self.setup_case("pda", 9)
-        zero = np.zeros_like(wot.coupling)
-        zero_iot = np.zeros_like(iot.coupling)
-        grads = loss_backward(
-            plan, fs, ft, zero, wot.cost,
+        plan, step, _ = self.setup_case("pda", 9)
+        zero = np.zeros_like(step.wot.coupling)
+        step = dataclasses.replace(
+            step,
+            wot=dataclasses.replace(step.wot, coupling=zero),
             partial=np.zeros_like(zero),
-            source_weights=ws, target_weights=wt,
-            iot_coupling=zero_iot, iot_cost=iot.cost,
+            iot=dataclasses.replace(step.iot, coupling=np.zeros_like(step.iot.coupling)),
         )
-        assert (grads.source_features == 0).all()
-        assert (grads.target_features == 0).all()
-        assert (grads.source_raw == 0).all()
-        assert (grads.target_raw == 0).all()
+        grads = loss_backward(plan, step)
+        for grad in grads.features + grads.raw:
+            assert (grad == 0).all()
 
     def test_single_pair_equals_analytic_cosine_gradient(self):
         u = np.array([[0.8, -0.4, 1.1]])
         v = np.array([[0.2, 0.9, -0.5]])
         plan = plan_for_setting("csda", beta=1.0)
         cost = ot.cosine_cost(u, v)
-        grads = loss_backward(plan, u, v, np.array([[1.0]]), cost)
+        wot = TransportTerm(float(cost[0, 0]), np.array([[1.0]]), cost, True)
+        grads = loss_backward(plan, TransportStep((u, v), (None, None), wot, None, 0.0, None))
         nu, nv = np.linalg.norm(u[0]), np.linalg.norm(v[0])
         uhat, vhat = u[0] / nu, v[0] / nv
         cos = float(uhat @ vhat)
-        assert_allclose(grads.source_features[0], (cos * uhat - vhat) / nu, atol=1e-12)
-        assert_allclose(grads.target_features[0], (cos * vhat - uhat) / nv, atol=1e-12)
+        assert_allclose(grads.features[0][0], (cos * uhat - vhat) / nu, atol=1e-12)
+        assert_allclose(grads.features[1][0], (cos * vhat - uhat) / nv, atol=1e-12)
+        assert grads.raw == (None, None)
 
     def test_weight_gradient_zero_for_constant_conditional_cost(self):
         # uniform plan over a constant cost: every atom has the same expected
         # cost, and normalization cancels any constant gradient exactly
         plan = plan_for_setting("pda", epsilon=0.0)
         n = 4
-        fs = np.eye(n)
-        ft = np.eye(n)
         coupling = np.full((n, n), 1.0 / n**2)
         cost = np.full((n, n), 0.7)
-        ws = normalize_weights(np.full(n, 0.5))
-        wt = normalize_weights(np.full(n, 0.5))
-        grads = loss_backward(
-            plan, fs, ft, coupling, cost,
-            partial=partial_coupling(coupling, cost, 0.7),
-            source_weights=ws, target_weights=wt,
-            iot_coupling=np.zeros((n, n)), iot_cost=np.zeros((n, n)),
+        weights = (normalize_weights(np.full(n, 0.5)), normalize_weights(np.full(n, 0.5)))
+        step = TransportStep(
+            (np.eye(n), np.eye(n)),
+            weights,
+            TransportTerm(0.7, coupling, cost, True),
+            partial_coupling(coupling, cost, 0.7),
+            0.0,
+            TransportTerm(0.0, np.zeros((n, n)), np.zeros((n, n)), True),
         )
-        assert_allclose(grads.source_raw, np.zeros(n), atol=1e-15)
+        grads = loss_backward(plan, step)
+        assert_allclose(grads.raw[0], np.zeros(n), atol=1e-15)
 
     def test_weight_gradient_prefers_cheap_atoms(self):
         # the atom with lower conditional transport cost gets the smaller
@@ -415,27 +405,7 @@ class TestLossBackward:
         ft = np.array([[1.0, 0.1], [-1.0, 0.3]])
         ws = normalize_weights(np.array([0.5, 0.5]))
         wt = normalize_weights(np.array([0.5, 0.5]))
-        wot = wot_loss(fs, ft, ws.normalized, np.full(2, 0.5), solver="exact")
-        cond = (wot.coupling * wot.cost).sum(axis=1) / ws.normalized
-        grads = loss_backward(
-            plan, fs, ft, wot.coupling, wot.cost,
-            partial=partial_coupling(wot.coupling, wot.cost, wot.value),
-            source_weights=ws, target_weights=wt,
-            iot_coupling=np.zeros((2, 2)), iot_cost=np.zeros((2, 2)),
-        )
-        assert (grads.source_raw[np.argmin(cond)] < grads.source_raw[np.argmax(cond)])
-
-    def test_missing_inputs_rejected(self):
-        plan, fs, ft, ws, wt, wot, partial, iot = self.setup_case("pda", 10)
-        with pytest.raises(ValueError):
-            loss_backward(plan, fs, ft, wot.coupling, wot.cost, partial=None,
-                          source_weights=ws, target_weights=wt,
-                          iot_coupling=iot.coupling, iot_cost=iot.cost)
-        with pytest.raises(ValueError):
-            loss_backward(plan, fs, ft, wot.coupling, wot.cost, partial=partial,
-                          source_weights=None, target_weights=wt,
-                          iot_coupling=iot.coupling, iot_cost=iot.cost)
-        with pytest.raises(ValueError):
-            loss_backward(plan, fs, ft, wot.coupling, wot.cost, partial=partial,
-                          source_weights=ws, target_weights=wt,
-                          iot_coupling=None, iot_cost=None)
+        step = transport_step(plan, fs, ft, (ws, wt), solver="exact")
+        cond = (step.wot.coupling * step.wot.cost).sum(axis=1) / ws.normalized
+        source_raw = loss_backward(plan, step).raw[0]
+        assert source_raw[np.argmin(cond)] < source_raw[np.argmax(cond)]

@@ -1,11 +1,13 @@
 """Training loop: sampling, determinism, the unsupervised contract, history."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from iwot import losses, nets
 from iwot.data import LabelSplit, ShiftSpec, generate_pair
 from iwot.errors import ConfigError, DataFormatError, NumericalError
 from iwot.settings import plan_for_setting
@@ -86,6 +88,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(epochs=3, warmup_epochs=4)
 
+    def test_weight_head_rate_must_not_underflow(self):
+        # 1e-320 * 1e-10 is 0.0; the optimizer would reject it as exit 1.
+        with pytest.raises(ConfigError, match="weight_lr_scale"):
+            TrainConfig(learning_rate=1e-320, weight_lr_scale=1e-10)
+
     def test_unknown_solver_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(solver="bfgs")
@@ -121,6 +128,16 @@ class TestTrainContract:
         _, target = small_pair(dim=9, split=LabelSplit(3, 1, 0))
         with pytest.raises(ConfigError):
             train(source, target, plan_for_setting("pda"), quick_config())
+
+    @pytest.mark.parametrize("width", ["hidden_dim", "feature_dim"])
+    def test_unindexable_width_fails_before_allocating(self, monkeypatch, width):
+        def glorot_uniform(fan_in, fan_out, rng):
+            pytest.fail("allocating a %d x %d weight matrix" % (fan_in, fan_out))
+
+        monkeypatch.setattr(nets, "glorot_uniform", glorot_uniform)
+        source, target = small_pair()
+        with pytest.raises(ConfigError, match="^a weight matrix of .* than NumPy can index$"):
+            train(source, target, plan_for_setting("pda"), quick_config(**{width: 10**20}))
 
     def test_target_labels_never_influence_training(self):
         # identical runs on true target labels and on poisoned ones
@@ -222,7 +239,7 @@ class TestHistoryContents:
         with pytest.raises(DataFormatError, match="^" + needle):
             load_history_csv(path)
 
-    def test_degenerate_transport_falls_back_to_supervision(self):
+    def test_degenerate_transport_falls_back_to_supervision(self, caplog):
         # all-zero inputs pass through zero-initialized biases and dead relus,
         # so the first adaptation step sees exactly-zero features and cannot
         # form a cosine cost; it must degrade to a supervised step instead of
@@ -242,6 +259,34 @@ class TestHistoryContents:
         first = hist.records[0]
         assert first.transport == 0.0 and first.total == first.classification
         assert any(r.transport != 0.0 for r in hist.records[1:])
+        # one warning for the run, so the CLI's stderr stays one line
+        warned = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warned == ["1 of 6 steps fell back to supervision on a degenerate batch"]
+
+
+class TestLayerSites:
+    def test_each_loss_site_is_looked_up_once_per_adaptation_step(self, monkeypatch):
+        # perfbench's tracer records per-layer spans by replacing these
+        # attributes of iwot.losses; a call that bypasses the module attribute
+        # (a local binding, say) would silently read as zero time.
+        calls = {}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        names = ("wot_loss", "partial_coupling", "sa_loss", "iot_loss", "loss_backward")
+        for name in names:
+            monkeypatch.setattr(losses, name, counting(name, getattr(losses, name)))
+        source, target = small_pair()
+        cfg = quick_config(epochs=3, warmup_epochs=1, batch_size=32)
+        _, hist = train(source, target, plan_for_setting("pda"), cfg)
+        adapted = [r for r in hist.records if r.transport != 0.0]
+        assert len(adapted) == 6
+        assert calls == {name: len(adapted) for name in names}
 
 
 class TestTrainingBehavior:

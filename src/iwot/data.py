@@ -349,7 +349,11 @@ def load_dataset(path):
             raise DataFormatError(
                 "line %d: expected %d fields, found %d" % (i + 7, 1 + dim, line.count(" ") + 1)
             )
-    legal = set(split.source_classes if role == "source" else split.target_classes)
+    # A domain's labels are the common classes and its private range [low,
+    # high), tested as ranges so that a huge class count builds no label set;
+    # a label must also fit the int64 label array.
+    low, high = ((split.n_common, split.n_source_classes) if role == "source"
+                 else (split.n_source_classes, split.n_total))
     features = np.empty((count, dim))
     labels = np.empty(count, dtype=np.int64)
     for i, line in enumerate(body):
@@ -359,7 +363,7 @@ def load_dataset(path):
         if label == UNKNOWN_LABEL:
             if role != "target":
                 raise DataFormatError("%s: unknown-label marker is target-only" % where)
-        elif label not in legal:
+        elif not (0 <= label < split.n_common or low <= label < high) or label >= 2**63:
             raise DataFormatError("%s: label %d outside the %s label set" % (where, label, role))
         labels[i] = label
         for j, token in enumerate(tokens[1:]):

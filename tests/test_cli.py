@@ -326,6 +326,21 @@ class TestTrainEval:
         for name in ("manifest_train.json", "checkpoint.json", "history.csv"):
             assert not os.path.exists(os.path.join(out, name))
 
+    @pytest.mark.parametrize("classes", [10**8, 10**20])
+    def test_huge_split_in_dataset_is_one_line_error(self, generated, capsys, classes):
+        config, out = generated
+        path = os.path.join(out, "source.txt")
+        lines = open(path, encoding="utf-8").read().split("\n")
+        lines[3] = "split %d 1 0" % classes
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines))
+        capsys.readouterr()
+        assert run(["train", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: dataset label split does not match the configured split\n"
+        for name in ("manifest_train.json", "checkpoint.json", "history.csv"):
+            assert not os.path.exists(os.path.join(out, name))
+
     def test_corrupt_dataset_dim_is_io_error(self, generated, capsys, monkeypatch):
         # A `dim` header of 1e11 over one sample line is a format error on
         # line 7, found before any count x dim allocation is attempted.

@@ -1,5 +1,7 @@
 """Synthetic dataset generation, geometry, determinism, and the file format."""
 
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -312,4 +314,30 @@ class TestDatasetFile:
         lines = self.valid_lines()
         lines[6] = "0.0 0.5 -1.25"
         with pytest.raises(DataFormatError, match="not an integer"):
+            load_dataset(self.write_lines(tmp_path, lines))
+
+    @pytest.mark.parametrize("classes", [10**8, 10**20])
+    def test_huge_class_count_checks_labels_by_range(self, tmp_path, classes):
+        # Labels are tested against the split's class ranges, so a header that
+        # declares 10^20 classes builds no label set and 10^8 loads at once.
+        lines = self.valid_lines()
+        lines[3] = "split 2 %d 1" % classes
+        lines[7] = "2 3.5 2"
+        start = time.perf_counter()
+        loaded = load_dataset(self.write_lines(tmp_path, lines))
+        assert time.perf_counter() - start < 0.1
+        assert loaded.split == LabelSplit(2, classes, 1)
+        assert loaded.labels.tolist() == [0, 2]
+        # a target-private label in the source, a source-private one in the target
+        for role, label in (("source", classes + 2), ("target", 2)):
+            lines[1] = "role %s" % role
+            lines[7] = "%d 3.5 2" % label
+            with pytest.raises(DataFormatError, match="line 8: label %d outside" % label):
+                load_dataset(self.write_lines(tmp_path, lines))
+
+    def test_label_beyond_int64_rejected(self, tmp_path):
+        lines = self.valid_lines()
+        lines[3] = "split %d 0 0" % 10**20
+        lines[7] = "%d 3.5 2" % 2**63
+        with pytest.raises(DataFormatError, match="line 8: label %d outside" % 2**63):
             load_dataset(self.write_lines(tmp_path, lines))

@@ -257,14 +257,23 @@ def linprog_plan(cost, p1, p2):
 
 
 class TestLPPath:
-    @pytest.mark.parametrize("n", [64, 256])
-    def test_plan_equals_linprog_on_learned_marginals(self, exact_routes, n):
-        rng = np.random.default_rng(n + 1)
-        cost = rng.uniform(0, 2, (n, n))
-        p1, p2 = random_marginal(rng, n), random_marginal(rng, n)
-        plan = solve_exact(cost, p1, p2)
-        assert exact_routes == ["lp"]
-        assert (plan == linprog_plan(cost, p1, p2)).all()
+    @pytest.mark.parametrize("n", [24, 64, 256])
+    def test_plan_matches_linprog_on_learned_marginals(self, exact_routes, n):
+        # The same vertex as linprog: the same support, and entries that
+        # differ only by HiGHS's round-off, which depends on the columns the
+        # LP was solved with (measured: at most 6.25 ulps of 1/n on these
+        # seeds, bit-equal at n = 24 and 64).
+        for seed in range(12):
+            rng = np.random.default_rng([n, seed])
+            cost = rng.uniform(0, 2, (n, n))
+            p1, p2 = random_marginal(rng, n), random_marginal(rng, n)
+            exact_routes.clear()
+            plan = solve_exact(cost, p1, p2)
+            assert set(exact_routes) == {"lp"}
+            expected = linprog_plan(cost, p1, p2)
+            assert ((plan > 0) == (expected > 0)).all()
+            assert_allclose(plan, expected, rtol=0, atol=16 * np.spacing(1.0 / n))
+            assert abs(coupling_cost(plan, cost) - coupling_cost(expected, cost)) <= 1e-15
 
     def test_plan_equals_linprog_with_a_zero_mass_atom(self, exact_routes):
         rng = np.random.default_rng(31)
@@ -301,6 +310,7 @@ class TestLPPath:
             return run_status, model_status, solution, info
 
         monkeypatch.setattr(ot, "_solve_lp", failing)
+        monkeypatch.setattr(ot, "_SHORTLIST", 1)
         rng = np.random.default_rng(32)
         instances = [
             # the first pass fails
@@ -318,7 +328,9 @@ class TestLPPath:
 
 def heavy_row_instance(n=64):
     """One source atom of mass 0.5 against a uniform target: that row must
-    spread over at least n/2 columns, more than its shortlist of 16."""
+    spread over at least n/2 columns. With `_SHORTLIST` monkeypatched to 1,
+    the first LP lists only a few of them, so pricing must add arcs and the
+    LP is solved again."""
     rng = np.random.default_rng(41)
     p1 = np.full(n, 0.5 / (n - 1))
     p1[7] = 0.5
@@ -326,7 +338,8 @@ def heavy_row_instance(n=64):
 
 
 class TestShortlistPricing:
-    def test_optimum_needs_arcs_outside_the_shortlist(self, exact_routes):
+    def test_optimum_needs_arcs_outside_the_shortlist(self, monkeypatch, exact_routes):
+        monkeypatch.setattr(ot, "_SHORTLIST", 1)
         cost, p1, p2 = heavy_row_instance()
         plan = solve_exact(cost, p1, p2)
         assert len(exact_routes) > 1  # pricing added arcs and re-solved
@@ -348,6 +361,7 @@ class TestShortlistPricing:
                 info = SimpleNamespace(max_primal_infeasibility=3.6e-8)
             return run_status, model_status, solution, info
 
+        monkeypatch.setattr(ot, "_SHORTLIST", 1)
         cost, p1, p2 = heavy_row_instance()
         expected = solve_exact(cost, p1, p2)
         monkeypatch.setattr(ot, "_solve_lp", reporting_infeasible)
@@ -358,7 +372,7 @@ class TestShortlistPricing:
 
     @pytest.mark.parametrize("shape", [(1, 30), (30, 1), (20, 30), (30, 20)])
     def test_pricing_from_a_one_arc_shortlist(self, monkeypatch, exact_routes, shape):
-        # With one cheapest arc per row and column, the staircase alone keeps
+        # With one listed arc per row and column, the staircase alone keeps
         # the first LP feasible and pricing must find most of the optimum.
         monkeypatch.setattr(ot, "_SHORTLIST", 1)
         rng = np.random.default_rng(sum(shape))
@@ -412,6 +426,62 @@ class TestShortlistPricing:
             assert validate_coupling(plan, p1, p2, tol=1e-8).passed
             value = lp_oracle_value(cost, p1, p2)
             assert_allclose(coupling_cost(plan, cost), value, rtol=0, atol=1e-9)
+
+
+def learned_cosine_instance(n, seed, learned_target):
+    rng = np.random.default_rng(seed)
+    cost = cosine_cost(rng.normal(size=(n, 8)), rng.normal(size=(n, 8)) + 0.5)
+    p1 = random_marginal(rng, n)
+    p2 = random_marginal(rng, n) if learned_target else np.full(n, 1.0 / n)
+    return cost, p1, p2
+
+
+class TestShortlistRanking:
+    @pytest.mark.parametrize("scale, shift", [(0.5, -1.0), (3.0, 0.25), (1e3, 7.0), (1e-6, 0.0)])
+    def test_scaled_and_shifted_cost_lists_the_same_arcs(self, scale, shift):
+        cost, p1, p2 = learned_cosine_instance(64, 61, learned_target=True)
+        listed = ot._shortlist(cost, p1, p2)
+        assert (ot._shortlist(scale * cost + shift, p1, p2) == listed).all()
+
+    def test_constant_cost(self, exact_routes):
+        rng = np.random.default_rng(62)
+        cost = np.full((20, 30), 0.7)
+        p1, p2 = random_marginal(rng, 20), random_marginal(rng, 30)
+        with np.errstate(all="raise"):
+            listed = ot._shortlist(cost, p1, p2)
+        assert listed.reshape(cost.shape).sum(axis=1).min() >= ot._SHORTLIST
+        plan = solve_exact(cost, p1, p2)
+        assert exact_routes == ["lp"]
+        assert validate_coupling(plan, p1, p2, tol=1e-8).passed
+        assert_allclose(coupling_cost(plan, cost), 0.7, rtol=0, atol=1e-12)
+
+    def test_tiny_and_zero_masses_on_both_sides(self):
+        cost, p1, p2 = learned_cosine_instance(64, 63, learned_target=True)
+        p1[[2, 17, 40]] = 1e-9
+        p1[5] = 0.0
+        p2[[0, 33, 63]] = 1e-9
+        p2[9] = 0.0
+        p1 /= p1.sum()
+        p2 /= p2.sum()
+        plan = solve_exact(cost, p1, p2)
+        assert (plan[5] == 0.0).all() and (plan[:, 9] == 0.0).all()
+        assert validate_coupling(plan, p1, p2, tol=1e-8).passed
+        assert_allclose(coupling_cost(plan, cost), lp_oracle_value(cost, p1, p2), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "n, learned_target, arcs, passes",
+        # ranked by raw cost, 16 arcs per row and column listed 1,398 and
+        # 6,017 arcs, and the 256x256 LP took 2 passes
+        [(64, False, 721, 1), (256, True, 3083, 1)],
+    )
+    def test_listed_arcs_and_passes_on_learned_marginals(
+        self, exact_routes, n, learned_target, arcs, passes
+    ):
+        cost, p1, p2 = learned_cosine_instance(n, n + 3, learned_target)
+        assert ot._shortlist(cost, p1, p2).sum() == arcs
+        plan = solve_exact(cost, p1, p2)
+        assert len(exact_routes) == passes
+        assert_allclose(coupling_cost(plan, cost), lp_oracle_value(cost, p1, p2), rtol=0, atol=1e-9)
 
 
 class TestOracleAgreement:

@@ -37,19 +37,19 @@ from .data import (
     DomainDataset,
     LabelSplit,
     ShiftSpec,
-    check_split_for_setting,
     generate_pair,
     load_dataset,
     save_dataset,
 )
 from .errors import ConfigError, DataFormatError, DegenerateInputError, NumericalError
 from .evaluation import evaluate
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 from .nets import load_checkpoint, save_checkpoint
 from .settings import (
     DEFAULT_BETA,
     DEFAULT_EPSILON,
     DEFAULT_ETA,
+    check_split_for_setting,
     parse_setting,
     plan_for_setting,
 )
@@ -108,8 +108,7 @@ def _load_ini(path):
         raise OSError("config file %s does not exist" % path)
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            parser.read_file(handle)
+        parser.read_string(read_text(path, ConfigError), source=path)
     except configparser.Error as exc:
         raise ConfigError("config file %s is not valid INI: %s" % (path, exc)) from exc
     for section in parser.sections():

@@ -32,8 +32,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .fileio import atomic_write_text, format_float
-from .settings import Setting, parse_setting
+from .fileio import atomic_write_text, format_float, read_text
 
 FORMAT_LINE = "iwot-dataset v1"
 UNKNOWN_LABEL = -1
@@ -80,24 +79,6 @@ class LabelSplit:
         common = tuple(range(self.n_common))
         first_private = self.n_common + self.n_source_private
         return common + tuple(range(first_private, self.n_total))
-
-
-def check_split_for_setting(split, setting):
-    """Reject splits whose private-class structure contradicts the setting."""
-    setting = parse_setting(setting)
-    sp, tp = split.n_source_private, split.n_target_private
-    if setting is Setting.UNIDA and (sp < 1 or tp < 1):
-        raise ConfigError("UniDA needs private classes on both sides, got split %s" % (split,))
-    if setting is Setting.PDA and (sp < 1 or tp != 0):
-        raise ConfigError(
-            "PDA needs source-private classes and no target-private ones, got split %s" % (split,)
-        )
-    if setting is Setting.OSDA and (sp != 0 or tp < 1):
-        raise ConfigError(
-            "OSDA needs target-private classes and no source-private ones, got split %s" % (split,)
-        )
-    if setting is Setting.CSDA and (sp != 0 or tp != 0):
-        raise ConfigError("CSDA needs identical label sets, got split %s" % (split,))
 
 
 @dataclass(frozen=True)
@@ -305,8 +286,7 @@ def _header_value(lines, index, key):
 
 def load_dataset(path):
     """Read a dataset file, enforcing format version 1 byte-strictly."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        text = handle.read()
+    text = read_text(path, newline="")
     if "\r" in text:
         raise DataFormatError("file contains carriage returns; expected Unix newlines")
     if not text.endswith("\n"):

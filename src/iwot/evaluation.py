@@ -30,17 +30,11 @@ from . import ot
 from .errors import NumericalError
 from .fileio import atomic_write_text, format_float
 from .losses import normalize_weights
-from .settings import LEARNED, Setting
 
 log = logging.getLogger(__name__)
 
 UNKNOWN = -1
 WEIGHT_THRESHOLD = 0.5
-
-
-def rejects_unknowns(plan):
-    """Whether inference under this plan may emit the unknown label."""
-    return plan.setting in (Setting.UNIDA, Setting.OSDA)
 
 
 def predict_batch(model, features, open_set, threshold=WEIGHT_THRESHOLD):
@@ -183,21 +177,15 @@ def evaluate(model, target, plan, source=None, gap_samples=256, gap_seed=0):
     """
     if target.labels is None:
         raise ValueError("evaluation needs target labels")
-    predicted, _, _ = predict_batch(model, target.features, rejects_unknowns(plan))
+    predicted, _, _ = predict_batch(model, target.features, plan.rejects_unknowns)
     report = score_predictions(predicted, target.labels, target.split.n_common)
 
     if source is not None:
         rng = np.random.default_rng(gap_seed)
-        feats = {}
-        weights = {}
-        for name, dataset in (("source", source), ("target", target)):
-            size = min(gap_samples, dataset.n)
-            idx = rng.choice(dataset.n, size=size, replace=False)
-            feats[name] = model.features(dataset.features[idx])
-            weights[name] = model.instance_weights(feats[name])
-        raw_s = weights["source"] if plan.source_marginal == LEARNED else None
-        raw_t = weights["target"] if plan.target_marginal == LEARNED else None
-        report.wasserstein_uniform, report.wasserstein_learned = wasserstein_gap(
-            feats["source"], feats["target"], raw_s, raw_t
-        )
+        feats, weights = [], []
+        for dataset, learned in zip((source, target), plan.learned):
+            idx = rng.choice(dataset.n, size=min(gap_samples, dataset.n), replace=False)
+            feats.append(model.features(dataset.features[idx]))
+            weights.append(model.instance_weights(feats[-1]) if learned else None)
+        report.wasserstein_uniform, report.wasserstein_learned = wasserstein_gap(*feats, *weights)
     return report

@@ -1,10 +1,21 @@
-"""Atomic text output helpers.
+"""Text file helpers: strict UTF-8 reads and atomic writes.
 
 Every file the package writes goes through write-then-rename so that an
 interrupted run leaves either the previous file or no file, never a torn one.
 """
 
 import os
+
+from .errors import DataFormatError
+
+
+def read_text(path, error=DataFormatError, newline=None):
+    """The contents of a UTF-8 text file; a byte that does not decode raises `error`."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise error("%s is not UTF-8 text (%s)" % (path, exc)) from None
 
 
 def atomic_write_text(path, text):

@@ -32,7 +32,6 @@ import numpy as np
 
 from . import ot
 from .errors import ConfigError, DegenerateInputError
-from .settings import LEARNED
 
 
 @dataclass
@@ -68,38 +67,28 @@ class TransportTerm:
     converged: bool
 
 
-# The two sides of every (source, target) pair below, in order.
-SIDES = ("source", "target")
-
-
-def _solve(cost, p1, p2, solver, reg, tol, max_iter):
+def _term(cost, p1, p2, solver="exact", **options):
+    # Solve p1 -> p2 under `cost`; `options` (reg, tol, max_iter) go to Sinkhorn.
     if solver == "exact":
-        return ot.solve_exact(cost, p1, p2), True
-    if solver == "sinkhorn":
-        result = ot.solve_sinkhorn(cost, p1, p2, reg=reg, tol=tol, max_iter=max_iter)
-        return result.coupling, result.converged
-    raise ConfigError("unknown solver %r (expected 'exact' or 'sinkhorn')" % (solver,))
+        coupling, converged = ot.solve_exact(cost, p1, p2), True
+    elif solver == "sinkhorn":
+        result = ot.solve_sinkhorn(cost, p1, p2, **options)
+        coupling, converged = result.coupling, result.converged
+    else:
+        raise ConfigError("unknown solver %r (expected 'exact' or 'sinkhorn')" % (solver,))
+    return TransportTerm(ot.coupling_cost(coupling, cost), coupling, cost, converged)
 
 
-def wot_loss(
-    source_features,
-    target_features,
-    source_marginal,
-    target_marginal,
-    solver="exact",
-    reg=0.05,
-    tol=1e-6,
-    max_iter=1000,
-):
+def wot_loss(source_features, target_features, source_marginal, target_marginal, **solve):
     """Cross-domain transport term: solve for a plan under cosine cost, score it.
 
     The value is the Frobenius inner product of the plan with the cost, i.e.
     the batch transport cost. Marginals are whatever the caller's setting
-    dictates (uniform or normalized instance weights).
+    dictates (uniform or normalized instance weights). `solve` picks the
+    solver (exact by default, or sinkhorn with reg, tol and max_iter).
     """
     cost = ot.cosine_cost(source_features, target_features)
-    coupling, converged = _solve(cost, source_marginal, target_marginal, solver, reg, tol, max_iter)
-    return TransportTerm(ot.coupling_cost(coupling, cost), coupling, cost, converged)
+    return _term(cost, source_marginal, target_marginal, **solve)
 
 
 def partial_coupling(coupling, cost, threshold):
@@ -134,19 +123,17 @@ def sa_loss(coupling, partial, cost):
     return float((delta * (2.0 - cost)).sum() + (partial * cost).sum())
 
 
-def iot_loss(features, marginal, solver="exact", reg=0.05, tol=1e-6, max_iter=1000):
+def iot_loss(features, marginal, **solve):
     """Within-domain transport from the learned-weight marginal to uniform.
 
     The cost is cosine dissimilarity of the batch against itself; the value is
     zero exactly when the learned marginal is already uniform (mass can stay
-    on the diagonal) and grows as weight concentrates.
+    on the diagonal) and grows as weight concentrates. `solve` is as for
+    wot_loss.
     """
     features = np.asarray(features, dtype=np.float64)
-    cost = ot.cosine_cost(features, features)
     n = features.shape[0]
-    uniform = np.full(n, 1.0 / n)
-    coupling, converged = _solve(cost, marginal, uniform, solver, reg, tol, max_iter)
-    return TransportTerm(ot.coupling_cost(coupling, cost), coupling, cost, converged)
+    return _term(ot.cosine_cost(features, features), marginal, np.full(n, 1.0 / n), **solve)
 
 
 def total_loss(classification, transport, separation, intra, plan):
@@ -195,23 +182,22 @@ def transport_step(plan, source_features, target_features, weights, **solve):
     `weights` holds a WeightAssignment (or None) per side, source first. A
     side whose marginal the plan learns transports its normalized weights,
     the other side is uniform; the intra-domain term, if any, scores the side
-    `plan.iot_domain` names from that side's weights. `solve` (solver, reg,
-    tol, max_iter) goes to wot_loss and iot_loss.
+    `plan.iot_side` from that side's weights. `solve` (solver, reg, tol,
+    max_iter) goes to wot_loss and iot_loss.
     """
     features = (source_features, target_features)
-    needed = (plan.needs_source_weights, plan.needs_target_weights)
-    weights = tuple(w if need else None for w, need in zip(weights, needed))
+    weights = tuple(w if need else None for w, need in zip(weights, plan.weighted))
     marginals = [
-        w.normalized if learned == LEARNED else np.full(len(f), 1.0 / len(f))
-        for f, w, learned in zip(features, weights, (plan.source_marginal, plan.target_marginal))
+        w.normalized if learned else np.full(len(f), 1.0 / len(f))
+        for f, w, learned in zip(features, weights, plan.learned)
     ]
     wot = wot_loss(*features, *marginals, **solve)
     partial, separation, iot = None, 0.0, None
     if plan.use_sa:
         partial = partial_coupling(wot.coupling, wot.cost, wot.value)
         separation = sa_loss(wot.coupling, partial, wot.cost)
-    if plan.use_iot:
-        side = SIDES.index(plan.iot_domain)
+    side = plan.iot_side
+    if side is not None:
         iot = iot_loss(features[side], weights[side].normalized, **solve)
     return TransportStep(features, weights, wot, partial, separation, iot)
 
@@ -262,10 +248,9 @@ def loss_backward(plan, step):
     # Each side's rows of the cross-domain plan: the plan itself for the
     # source, its transpose for the target.
     rows = ((coupling, cost), (coupling.T, cost.T))
-    learned = (plan.source_marginal, plan.target_marginal)
     raw = [None, None]
-    for side, name in enumerate(SIDES):
-        intra = plan.use_iot and plan.iot_domain == name
+    for side, learned in enumerate(plan.learned):
+        intra = side == plan.iot_side
         if intra:
             left, right = ot.cosine_cost_grad(
                 features[side], features[side], plan.epsilon * step.iot.coupling
@@ -275,7 +260,7 @@ def loss_backward(plan, step):
         if weights is None:
             continue
         grad_norm = np.zeros_like(weights.normalized)
-        if learned[side] == LEARNED:
+        if learned:
             grad_norm += plan.beta * _conditional_cost_rows(*rows[side], weights.normalized)
         if intra:
             grad_norm += plan.epsilon * _conditional_cost_rows(

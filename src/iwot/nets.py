@@ -20,7 +20,7 @@ import os
 import numpy as np
 
 from .errors import DataFormatError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 
 ACTIVATIONS = ("relu", "sigmoid", "identity")
 
@@ -261,7 +261,7 @@ def _net_from_json(doc, name):
         biases.append(bias)
     try:
         return Mlp(weights, biases, activations)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DataFormatError("network %r: %s" % (name, exc)) from exc
 
 
@@ -280,11 +280,10 @@ def load_checkpoint(path):
     """Read a checkpoint written by `save_checkpoint`; returns (networks, meta)."""
     if not os.path.exists(path):
         raise DataFormatError("checkpoint %s does not exist" % (path,))
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError("checkpoint %s is not valid JSON: %s" % (path, exc)) from exc
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError("checkpoint %s is not valid JSON: %s" % (path, exc)) from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise DataFormatError("checkpoint %s has an unrecognized format tag" % (path,))
     if doc.get("version") != CHECKPOINT_VERSION:

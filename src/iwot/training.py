@@ -26,8 +26,9 @@ import numpy as np
 from . import losses
 from .data import DomainDataset, check_array_size
 from .errors import ConfigError, DataFormatError, DegenerateInputError, NumericalError
-from .fileio import atomic_write_text, format_float
+from .fileio import atomic_write_text, format_float, read_text
 from .nets import Mlp, SgdMomentum, cross_entropy
+from .settings import SIDES
 
 log = logging.getLogger(__name__)
 
@@ -130,8 +131,7 @@ class TrainHistory:
 
 def load_history_csv(path):
     """Parse a history CSV written by TrainHistory.save_csv."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != HISTORY_HEADER:
         raise DataFormatError("history line 1: expected the header %r" % HISTORY_HEADER)
     columns = fields(StepRecord)
@@ -279,7 +279,7 @@ def train(source, target, plan, config=None):
     transport_active = (
         plan.beta > 0
         or (plan.use_sa and plan.eta > 0)
-        or (plan.use_iot and plan.epsilon > 0)
+        or (plan.iot_side is not None and plan.epsilon > 0)
     )
 
     history = TrainHistory()
@@ -348,10 +348,9 @@ def _step(model, plan, config, optimizers, batch, target_x, step, epoch):
         # covers the source features and the logits.
         _check_finite(step, "the classification loss", l_c)
         _check_finite(step, "the target features", feats[1])
-        needed = (plan.needs_source_weights, plan.needs_target_weights)
         weights, weight_traces = [None, None], [None, None]
-        for side, name in enumerate(losses.SIDES):
-            if needed[side]:
+        for side, name in enumerate(SIDES):
+            if plan.weighted[side]:
                 raw, weight_traces[side] = model.weight_net.forward(feats[side])
                 _check_finite(step, "a %s instance weight" % name, raw)
                 weights[side] = losses.normalize_weights(raw[:, 0])

@@ -107,8 +107,8 @@ def transport_objective(plan, step):
     if plan.use_sa:
         delta = 1.0 - np.exp(-(coupling - partial))
         value += plan.eta * float((delta * (2.0 - cost)).sum() + (partial * cost).sum())
-    if plan.use_iot:
-        domain = feats_s if plan.iot_domain == "source" else feats_t
+    if plan.iot_side is not None:
+        domain = step.features[plan.iot_side]
         iot_cost = ot.cosine_cost(domain, domain)
         value += plan.epsilon * float((step.iot.coupling * iot_cost).sum())
     return value
@@ -221,29 +221,23 @@ class TestLossContracts:
             beta, eta, epsilon = rng.uniform(0.0, 2.0, size=3)
             plan = plan_for_setting(setting, beta=beta, eta=eta, epsilon=epsilon)
             if setting == "unida":
-                ok &= plan.source_marginal == "learned" and plan.target_marginal == "learned"
-                ok &= plan.use_sa and not plan.use_iot and plan.epsilon == 0.0
+                ok &= plan.learned == (True, True)
+                ok &= plan.use_sa and plan.iot_side is None and plan.epsilon == 0.0
                 ok &= plan.beta == beta and plan.eta == eta
             elif setting == "pda":
-                ok &= plan.source_marginal == "learned" and plan.target_marginal == "uniform"
-                ok &= plan.use_sa and plan.use_iot and plan.iot_domain == "target"
+                ok &= plan.learned == (True, False)
+                ok &= plan.use_sa and plan.iot_side == 1
                 ok &= plan.beta == beta and plan.eta == eta and plan.epsilon == epsilon
             elif setting == "osda":
-                ok &= plan.source_marginal == "uniform" and plan.target_marginal == "learned"
-                ok &= plan.use_sa and plan.use_iot and plan.iot_domain == "source"
+                ok &= plan.learned == (False, True)
+                ok &= plan.use_sa and plan.iot_side == 0
                 ok &= plan.beta == beta and plan.eta == eta and plan.epsilon == epsilon
             else:
-                ok &= plan.source_marginal == "uniform" and plan.target_marginal == "uniform"
-                ok &= not plan.use_sa and not plan.use_iot
+                ok &= plan.learned == (False, False)
+                ok &= not plan.use_sa and plan.iot_side is None
                 ok &= plan.eta == 0.0 and plan.epsilon == 0.0 and plan.beta == beta
-            ok &= plan.needs_source_weights == (
-                plan.source_marginal == "learned"
-                or (plan.use_iot and plan.iot_domain == "source")
-            )
-            ok &= plan.needs_target_weights == (
-                plan.target_marginal == "learned"
-                or (plan.use_iot and plan.iot_domain == "target")
-            )
+            for side in (0, 1):
+                ok &= plan.weighted[side] == (plan.learned[side] or plan.iot_side == side)
             checked += 1
         report(
             6,

@@ -471,10 +471,13 @@ class TestTrainEval:
             (lambda doc: doc["meta"].update(input_dim="x"), "'input_dim'"),
             (lambda doc: doc["meta"].update(input_dim=doc["meta"]["input_dim"] + 1),
              "'input_dim'"),
+            (lambda doc: doc["networks"]["feature"].update(activations=5), "'feature'"),
+            (lambda doc: doc["networks"]["feature"].update(activations=None), "'feature'"),
         ],
         ids=["split-int", "split-string-count", "weight-non-numeric", "negative-shape",
              "networks-mismatched", "setting-unknown", "beta-string", "beta-negative",
-             "epsilon-infinite", "input-dim-string", "input-dim-mismatched"],
+             "epsilon-infinite", "input-dim-string", "input-dim-mismatched",
+             "activations-int", "activations-null"],
     )
     def test_eval_malformed_checkpoint_value_is_io_error(
         self, generated, tmp_path, capsys, corrupt, needle
@@ -494,6 +497,32 @@ class TestTrainEval:
         assert err.startswith("input/output error: ") and needle in err
         assert err.count("\n") == 1
         assert not os.path.exists(eval_out)
+
+
+    @pytest.mark.parametrize(
+        "name, command, code",
+        [("config.ini", "generate", 2), ("source.txt", "train", 3),
+         ("target.txt", "eval", 3), ("checkpoint.json", "eval", 3)],
+    )
+    def test_non_utf8_byte_is_one_line_error(self, generated, capsys, name, command, code):
+        config, out = generated
+        assert run(["train", "--config", config, "--out", out]) == 0
+        path = os.path.join(out, name) if name != "config.ini" else config
+        with open(path, "r+b") as handle:
+            handle.seek(40)
+            handle.write(b"\xff")
+        capsys.readouterr()
+        argv = {
+            "generate": ["generate", "--config", config],
+            "train": ["train", "--config", config, "--data", out],
+            "eval": ["eval", "--checkpoint", os.path.join(out, "checkpoint.json"),
+                     "--data", os.path.join(out, "target.txt")],
+        }[command]
+        new_out = os.path.join(out, "again")
+        assert run(argv + ["--out", new_out]) == code
+        err = capsys.readouterr().err
+        assert path + " is not UTF-8 text" in err and err.count("\n") == 1
+        assert not os.path.exists(new_out)
 
 
 class TestOtCheck:

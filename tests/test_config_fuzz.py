@@ -1,16 +1,21 @@
-"""The CLI failure contract, swept over every config key and a set of extreme values.
+"""The CLI failure contract, swept over config values and corrupted input files.
 
-Each case sets one key of the INI schema (`cli._SECTIONS`) to one extreme
-value and runs the command that reads it: `generate` for [experiment] and
-[data], `train` on a tiny pre-generated pair for [train]. Whatever the value,
-the run must end in a documented exit code (0, 2, 3 or 4), write at most one
-line to stderr (log warnings and Python warnings count as lines, as the CLI
-would print them), and leave no manifest when it fails. An exception that
-escapes `main` would be exit 1; the sweep lists every violating case.
+The config sweep sets one key of the INI schema (`cli._SECTIONS`) to one
+extreme value and runs the command that reads it: `generate` for
+[experiment] and [data], `train` on a tiny pre-generated pair for [train].
+The file sweep corrupts the bytes of a tiny `source.txt` (run through
+`train`), `target.txt` and `checkpoint.json` (both run through `eval`).
+Whatever the input, the run must end in a documented exit code (0, 2, 3 or
+4), write at most one line to stderr (log warnings and Python warnings count
+as lines, as the CLI would print them), and leave no manifest when it fails.
+An exception that escapes `main` would be exit 1; each sweep lists every
+violating case.
 """
 
+import json
 import logging
 import os
+import shutil
 import warnings
 
 import pytest
@@ -55,15 +60,8 @@ def cases(section):
                 yield item.name, value
 
 
-def run_case(tmp_path, capfd, caplog, command, section, key, value, data_dir=None):
-    """Violations of the failure contract by one run, as a list of strings."""
-    case = "%s-%s-%d" % (section, key, EXTREMES.index(value))
-    config = tmp_path / (case + ".ini")
-    config.write_text(config_text(section, key, value), encoding="utf-8")
-    out = tmp_path / case
-    argv = [command, "--config", str(config), "--out", str(out)]
-    if data_dir is not None:
-        argv += ["--data", data_dir]
+def run_case(capfd, caplog, argv, out, label):
+    """Violations of the failure contract by one CLI run, as a list of strings."""
     caplog.clear()
     capfd.readouterr()
     with warnings.catch_warnings(record=True) as caught:
@@ -85,14 +83,26 @@ def run_case(tmp_path, capfd, caplog, command, section, key, value, data_dir=Non
         )
     if code != 0 and out.exists() and any(n.startswith("manifest_") for n in os.listdir(out)):
         problems.append("manifest written on exit %d" % code)
-    return ["[%s] %s = %r: %s" % (section, key, value, p) for p in problems]
+    return ["%s: %s" % (label, p) for p in problems]
+
+
+def run_config_case(tmp_path, capfd, caplog, command, section, key, value, data_dir=None):
+    """Violations by `command` run on BASE with one key set to `value`."""
+    case = "%s-%s-%d" % (section, key, EXTREMES.index(value))
+    config = tmp_path / (case + ".ini")
+    config.write_text(config_text(section, key, value), encoding="utf-8")
+    out = tmp_path / case
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if data_dir is not None:
+        argv += ["--data", data_dir]
+    return run_case(capfd, caplog, argv, out, "[%s] %s = %r" % (section, key, value))
 
 
 @pytest.mark.parametrize("section", ["experiment", "data"])
 def test_generate_failure_contract(tmp_path, capfd, caplog, section):
     problems = []
     for key, value in cases(section):
-        problems += run_case(tmp_path, capfd, caplog, "generate", section, key, value)
+        problems += run_config_case(tmp_path, capfd, caplog, "generate", section, key, value)
     assert problems == []
 
 
@@ -103,6 +113,54 @@ def test_train_failure_contract(tmp_path, capfd, caplog):
     assert main(["generate", "--config", str(base), "--out", data_dir]) == 0
     problems = []
     for key, value in cases("train"):
-        problems += run_case(tmp_path, capfd, caplog, "train", "train", key, value, data_dir)
+        problems += run_config_case(
+            tmp_path, capfd, caplog, "train", "train", key, value, data_dir
+        )
     assert problems == []
 
+
+def byte_corruptions(data):
+    """(name, corrupted bytes) at ten fixed offsets: header bytes and spread body bytes."""
+    n = len(data)
+    offsets = [0, 9, 20, 31, 45] + [n * k // 5 for k in range(1, 5)] + [n - 1]
+    for i in offsets:
+        start = data.rfind(b"\n", 0, i) + 1
+        end = data.find(b"\n", i) + 1 or n
+        yield "0xff@%d" % i, data[:i] + b"\xff" + data[i + 1 :]
+        yield "nul@%d" % i, data[:i] + b"\x00" + data[i + 1 :]
+        yield "delete@%d" % i, data[:i] + data[i + 1 :]
+        yield "truncate@%d" % i, data[:i]
+        yield "dup-line@%d" % i, data[:end] + data[start:end] + data[end:]
+
+
+def test_corrupt_file_failure_contract(tmp_path, capfd, caplog):
+    base = tmp_path / "base.ini"
+    base.write_text(config_text("experiment", "seed", "0"), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert main(["generate", "--config", str(base), "--out", str(run_dir)]) == 0
+    assert main(["train", "--config", str(base), "--out", str(run_dir)]) == 0
+    checkpoint = json.loads((run_dir / "checkpoint.json").read_text(encoding="utf-8"))
+    corruptions = {
+        name: list(byte_corruptions((run_dir / name).read_bytes()))
+        for name in ("source.txt", "target.txt", "checkpoint.json")
+    }
+    for value in (5, None):
+        checkpoint["networks"]["feature"]["activations"] = value
+        corruptions["checkpoint.json"].append(
+            ("activations=%r" % value, json.dumps(checkpoint).encode())
+        )
+    problems = []
+    for name, variants in corruptions.items():
+        for i, (label, data) in enumerate(variants):
+            case = tmp_path / ("%s-%d" % (name, i))
+            shutil.copytree(run_dir, case / "data")
+            (case / "data" / name).write_bytes(data)
+            out = case / "out"
+            if name == "source.txt":
+                argv = ["train", "--config", str(base), "--data", str(case / "data")]
+            else:
+                argv = ["eval", "--checkpoint", str(case / "data" / "checkpoint.json"),
+                        "--data", str(case / "data" / "target.txt")]
+            argv += ["--out", str(out)]
+            problems += run_case(capfd, caplog, argv, out, "%s %s" % (name, label))
+    assert problems == []

@@ -9,13 +9,13 @@ from numpy.testing import assert_allclose
 from iwot.data import (
     LabelSplit,
     ShiftSpec,
-    check_split_for_setting,
     class_means,
     generate_pair,
     load_dataset,
     save_dataset,
 )
 from iwot.errors import ConfigError, DataFormatError
+from iwot.settings import PRIVATE, Setting, check_split_for_setting
 
 
 class TestLabelSplit:
@@ -34,16 +34,15 @@ class TestLabelSplit:
             LabelSplit(2, -1, 0)
 
     def test_setting_structure_checks(self):
-        check_split_for_setting(LabelSplit(4, 3, 0), "pda")
-        check_split_for_setting(LabelSplit(4, 0, 3), "osda")
-        check_split_for_setting(LabelSplit(4, 0, 0), "csda")
-        check_split_for_setting(LabelSplit(4, 2, 2), "unida")
-        with pytest.raises(ConfigError):
-            check_split_for_setting(LabelSplit(4, 3, 1), "pda")
-        with pytest.raises(ConfigError):
-            check_split_for_setting(LabelSplit(4, 1, 3), "osda")
-        with pytest.raises(ConfigError):
-            check_split_for_setting(LabelSplit(4, 1, 0), "csda")
+        # A split fits a setting exactly when its private sides are the setting's.
+        for setting in Setting:
+            for shape in ((False, False), (True, False), (False, True), (True, True)):
+                split = LabelSplit(4, 3 * shape[0], 2 * shape[1])
+                if shape == PRIVATE[setting]:
+                    check_split_for_setting(split, setting.value)
+                else:
+                    with pytest.raises(ConfigError, match=setting.value):
+                        check_split_for_setting(split, setting.value)
 
 
 class TestClassMeans:

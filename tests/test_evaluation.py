@@ -12,7 +12,6 @@ from iwot.evaluation import (
     evaluate,
     h_score,
     predict_batch,
-    rejects_unknowns,
     score_predictions,
     wasserstein_gap,
 )
@@ -110,10 +109,10 @@ class TestScorePredictions:
 
 class TestInference:
     def test_rejection_rule_per_setting(self):
-        assert rejects_unknowns(plan_for_setting("unida"))
-        assert rejects_unknowns(plan_for_setting("osda"))
-        assert not rejects_unknowns(plan_for_setting("pda"))
-        assert not rejects_unknowns(plan_for_setting("csda"))
+        assert plan_for_setting("unida").rejects_unknowns
+        assert plan_for_setting("osda").rejects_unknowns
+        assert not plan_for_setting("pda").rejects_unknowns
+        assert not plan_for_setting("csda").rejects_unknowns
 
     def test_label_weight_consistency_open_set(self):
         model, _, target = tiny_model()

@@ -20,7 +20,7 @@ from iwot.losses import (
     transport_step,
     wot_loss,
 )
-from iwot.settings import LEARNED, plan_for_setting
+from iwot.settings import plan_for_setting
 
 
 def random_marginal(rng, n):
@@ -235,8 +235,8 @@ def frozen_objective(plan, step):
     if plan.use_sa:
         delta = 1.0 - np.exp(-(coupling - partial))
         value += plan.eta * float((delta * (2.0 - cost)).sum() + (partial * cost).sum())
-    if plan.use_iot:
-        domain = feats_s if plan.iot_domain == "source" else feats_t
+    if plan.iot_side is not None:
+        domain = step.features[plan.iot_side]
         iot_cost = ot.cosine_cost(domain, domain)
         value += plan.epsilon * float((step.iot.coupling * iot_cost).sum())
     return value
@@ -271,13 +271,13 @@ def frozen_rows_objective(plan, raw_s, raw_t, base_s, base_t, wot, iot):
     p_s = normalize_weights(raw_s).normalized
     p_t = normalize_weights(raw_t).normalized
     coupling = wot.coupling
-    if plan.source_marginal == LEARNED:
+    if plan.learned[0]:
         coupling = coupling * (p_s / base_s.normalized)[:, None]
-    if plan.target_marginal == LEARNED:
+    if plan.learned[1]:
         coupling = coupling * (p_t / base_t.normalized)[None, :]
     value = plan.beta * ot.coupling_cost(coupling, wot.cost)
-    if plan.use_iot:
-        marginal, base = (p_s, base_s) if plan.iot_domain == "source" else (p_t, base_t)
+    if plan.iot_side is not None:
+        marginal, base = ((p_s, base_s), (p_t, base_t))[plan.iot_side]
         iot_coupling = iot.coupling * (marginal / base.normalized)[:, None]
         value += plan.epsilon * ot.coupling_cost(iot_coupling, iot.cost)
     return value
@@ -320,7 +320,7 @@ class TestLossBackward:
     def test_step_keeps_only_the_weights_the_plan_uses(self):
         for setting in ("pda", "osda", "unida", "csda"):
             plan, step, weights = self.setup_case(setting, 14)
-            needed = (plan.needs_source_weights, plan.needs_target_weights)
+            needed = plan.weighted
             assert step.weights == tuple(w if n else None for w, n in zip(weights, needed))
             grads = loss_backward(plan, step)
             assert [g is not None for g in grads.raw] == list(needed)

@@ -1,5 +1,7 @@
 """Per-setting plans: marginal sources, active terms, and forced overrides."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,8 @@ from iwot.settings import (
     DEFAULT_BETA,
     DEFAULT_EPSILON,
     DEFAULT_ETA,
-    LEARNED,
-    UNIFORM,
     Setting,
+    SettingPlan,
     parse_setting,
     plan_for_setting,
 )
@@ -38,34 +39,28 @@ class TestParseSetting:
 class TestPlanRows:
     def test_pda_row_with_defaults(self):
         plan = plan_for_setting("pda")
-        assert plan.source_marginal == LEARNED
-        assert plan.target_marginal == UNIFORM
-        assert plan.use_sa and plan.use_iot
-        assert plan.iot_domain == "target"
+        assert plan.learned == (True, False)
+        assert plan.use_sa and plan.iot_side is not None
+        assert plan.iot_side == 1
         assert (plan.beta, plan.eta, plan.epsilon) == (0.1, 0.3, 0.05)
         assert (DEFAULT_BETA, DEFAULT_ETA, DEFAULT_EPSILON) == (0.1, 0.3, 0.05)
 
     def test_osda_row(self):
         plan = plan_for_setting("osda")
-        assert plan.source_marginal == UNIFORM
-        assert plan.target_marginal == LEARNED
-        assert plan.use_sa and plan.use_iot
-        assert plan.iot_domain == "source"
+        assert plan.learned == (False, True)
+        assert plan.use_sa and plan.iot_side is not None
+        assert plan.iot_side == 0
 
     def test_unida_row(self):
         plan = plan_for_setting("unida")
-        assert plan.source_marginal == LEARNED
-        assert plan.target_marginal == LEARNED
-        assert plan.use_sa and not plan.use_iot
-        assert plan.iot_domain == "none"
+        assert plan.learned == (True, True)
+        assert plan.use_sa and plan.iot_side is None
         assert plan.epsilon == 0.0
 
     def test_csda_row(self):
         plan = plan_for_setting("csda")
-        assert plan.source_marginal == UNIFORM
-        assert plan.target_marginal == UNIFORM
-        assert not plan.use_sa and not plan.use_iot
-        assert plan.iot_domain == "none"
+        assert plan.learned == (False, False)
+        assert not plan.use_sa and plan.iot_side is None
         assert plan.eta == 0.0 and plan.epsilon == 0.0
 
     def test_unida_requested_epsilon_overridden(self):
@@ -80,19 +75,35 @@ class TestPlanRows:
 class TestWeightNeeds:
     def test_pda_needs_both_weight_passes(self):
         plan = plan_for_setting("pda")
-        assert plan.needs_source_weights  # learned source marginal
-        assert plan.needs_target_weights  # intra term runs on the target side
+        assert plan.weighted[0]  # learned source marginal
+        assert plan.weighted[1]  # intra term runs on the target side
 
     def test_osda_needs_both_weight_passes(self):
         plan = plan_for_setting("osda")
-        assert plan.needs_source_weights  # intra term runs on the source side
-        assert plan.needs_target_weights  # learned target marginal
+        assert plan.weighted[0]  # intra term runs on the source side
+        assert plan.weighted[1]  # learned target marginal
 
     def test_unida_needs_both_csda_needs_none(self):
         unida = plan_for_setting("unida")
-        assert unida.needs_source_weights and unida.needs_target_weights
+        assert unida.weighted == (True, True)
         csda = plan_for_setting("csda")
-        assert not csda.needs_source_weights and not csda.needs_target_weights
+        assert csda.weighted == (False, False)
+
+
+class TestTable:
+    def test_plan_holds_the_setting_and_three_coefficients(self):
+        names = [item.name for item in fields(SettingPlan)]
+        assert names == ["setting", "beta", "eta", "epsilon"]
+
+    def test_forced_override_is_logged_once_per_nonzero_request(self, caplog):
+        with caplog.at_level("INFO", logger="iwot.settings"):
+            plan_for_setting("csda", eta=0.4, epsilon=0.2)
+            plan_for_setting("unida", epsilon=0.0)
+            plan_for_setting("pda")
+        assert [r.getMessage() for r in caplog.records] == [
+            "csda has no separation term; overriding eta=0.4 to 0",
+            "csda has no intra-domain term; overriding epsilon=0.2 to 0",
+        ]
 
 
 class TestInvariantSweep:
@@ -107,24 +118,20 @@ class TestInvariantSweep:
             plan = plan_for_setting(name, beta=beta, eta=eta, epsilon=epsilon)
             assert plan.beta == beta
             if plan.setting is Setting.CSDA:
-                assert plan.source_marginal == UNIFORM
-                assert plan.target_marginal == UNIFORM
-                assert not plan.use_sa and not plan.use_iot
+                assert plan.learned == (False, False)
+                assert not plan.use_sa and plan.iot_side is None
                 assert plan.eta == 0.0 and plan.epsilon == 0.0
             elif plan.setting is Setting.UNIDA:
-                assert plan.source_marginal == LEARNED
-                assert plan.target_marginal == LEARNED
-                assert not plan.use_iot and plan.epsilon == 0.0
+                assert plan.learned == (True, True)
+                assert plan.iot_side is None and plan.epsilon == 0.0
                 assert plan.eta == eta
             elif plan.setting is Setting.PDA:
-                assert plan.source_marginal == LEARNED
-                assert plan.target_marginal == UNIFORM
-                assert plan.iot_domain == "target"
+                assert plan.learned == (True, False)
+                assert plan.iot_side == 1
                 assert plan.eta == eta and plan.epsilon == epsilon
             else:
-                assert plan.source_marginal == UNIFORM
-                assert plan.target_marginal == LEARNED
-                assert plan.iot_domain == "source"
+                assert plan.learned == (False, True)
+                assert plan.iot_side == 0
                 assert plan.eta == eta and plan.epsilon == epsilon
 
     def test_negative_hyperparameters_rejected(self):
@@ -155,7 +162,7 @@ class TestCsdaReduction:
         plan = plan_for_setting("csda")
         u_s = np.full(5, 0.2)
         u_t = np.full(6, 1.0 / 6)
-        assert plan.source_marginal == UNIFORM and plan.target_marginal == UNIFORM
+        assert plan.learned == (False, False)
         term = wot_loss(xs, xt, u_s, u_t, solver="exact")
         cost = ot.cosine_cost(xs, xt)
         expected = ot.coupling_cost(ot.solve_exact(cost, u_s, u_t), cost)

@@ -239,6 +239,12 @@ class TestHistoryContents:
         with pytest.raises(DataFormatError, match="^" + needle):
             load_history_csv(path)
 
+    def test_non_utf8_csv_is_format_error(self, tmp_path):
+        path = tmp_path / "history.csv"
+        path.write_bytes((HEADER + "\n0,0,1,0,0,0,1,1\n").encode() + b"\xff\n")
+        with pytest.raises(DataFormatError, match="history.csv is not UTF-8"):
+            load_history_csv(path)
+
     def test_degenerate_transport_falls_back_to_supervision(self, caplog):
         # all-zero inputs pass through zero-initialized biases and dead relus,
         # so the first adaptation step sees exactly-zero features and cannot

@@ -238,27 +238,20 @@ def _net_to_json(net):
 
 
 def _net_from_json(doc, name):
+    weights, biases = [], []
     try:
         activations = doc["activations"]
-        layers = [
-            (
-                int(layer["rows"]),
-                int(layer["cols"]),
-                np.asarray(layer["weight"], dtype=np.float64),
-                np.asarray(layer["bias"], dtype=np.float64),
-            )
-            for layer in doc["layers"]
-        ]
+        for layer in doc["layers"]:
+            rows, cols, flat, bias = (layer[key] for key in ("rows", "cols", "weight", "bias"))
+            # exact JSON types: numpy reads null as NaN, "1.0" and `true` as 1.0; int() cuts 3.7
+            if {type(rows), type(cols)} != {int} or set(map(type, [*flat, *bias])) - {int, float}:
+                raise TypeError("rows/cols must be JSON integers, weight/bias lists of JSON numbers")
+            if rows < 0 or cols < 0 or len(flat) != rows * cols:
+                raise ValueError("weight entry count does not match declared shape")
+            weights.append(np.asarray(flat, dtype=np.float64).reshape(rows, cols))
+            biases.append(np.asarray(bias, dtype=np.float64))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError("network %r: malformed checkpoint entry (%s)" % (name, exc)) from exc
-    weights, biases = [], []
-    for rows, cols, flat, bias in layers:
-        if rows < 0 or cols < 0 or flat.shape != (rows * cols,):
-            raise DataFormatError(
-                "network %r: weight entry count does not match declared shape" % name
-            )
-        weights.append(flat.reshape(rows, cols))
-        biases.append(bias)
     try:
         return Mlp(weights, biases, activations)
     except (TypeError, ValueError) as exc:

@@ -7,7 +7,7 @@ minimizing the Frobenius inner product with the cost.
 `solve_exact` returns a vertex of the transport polytope. A square problem
 whose masses are all equal is an assignment problem (every vertex is a
 permutation matrix times the common mass, Birkhoff-von Neumann), so it is
-solved by `scipy.optimize.linear_sum_assignment` and its marginals hold
+solved by SciPy's `linear_sum_assignment` and its marginals hold
 exactly. Every other problem is the transportation linear program, solved by
 the shortlist method: HiGHS's dual simplex solves it on each row's and
 column's 8 arcs of least reduced cost under the duals of a short entropic
@@ -30,21 +30,47 @@ iteration that re-centres the potentials, after which the underflowing entries
 are truncated to zero. Atoms with zero marginal mass are removed before either
 solver runs and restored as zero rows/columns.
 
+Both compiled solvers, SciPy's assignment module `_lsap` and HiGHS's
+`_highspy._core`, are loaded straight from their extension files under their
+real names, because running the `scipy.optimize` package `__init__` would
+import linalg, sparse, fft and special and cost most of the CLI's start-up.
+
 Cosine dissimilarity (1 - cosine similarity, range [0, 2]) is the cost used
 throughout the package; its gradient with respect to both feature sets is
 provided here so loss code can chain through it.
 """
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.optimize._highspy import _core as highs
+import scipy
 
 from .errors import DegenerateInputError, NumericalError
 from .fileio import atomic_write_text, format_float
 
 PROB_ATOL = 1e-9
+
+
+def _scipy_extension(name):
+    """Load SciPy's compiled module `name` without running its packages' `__init__`.
+
+    It runs under its dotted name, to which CPython keys loaded extensions, so
+    an `import` of the same name, before or after, yields the same module.
+    """
+    directory = os.path.join(scipy.__path__[0], *name.split(".")[1:-1])
+    spec = importlib.machinery.PathFinder.find_spec(name, [directory])
+    if spec is None:
+        raise ImportError("%s is not in SciPy %s" % (name, scipy.__version__))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+linear_sum_assignment = _scipy_extension("scipy.optimize._lsap").linear_sum_assignment
+highs = _scipy_extension("scipy.optimize._highspy._core")
 
 
 def check_prob_vector(p, name="marginal"):

@@ -4,7 +4,8 @@ The config sweep sets one key of the INI schema (`cli._SECTIONS`) to one
 extreme value and runs the command that reads it: `generate` for
 [experiment] and [data], `train` on a tiny pre-generated pair for [train].
 The file sweep corrupts the bytes of a tiny `source.txt` (run through
-`train`), `target.txt` and `checkpoint.json` (both run through `eval`).
+`train`), `target.txt` and `checkpoint.json` (both run through `eval`),
+and replaces single checkpoint entries with values of the wrong JSON type.
 Whatever the input, the run must end in a documented exit code (0, 2, 3 or
 4), write at most one line to stderr (log warnings and Python warnings count
 as lines, as the CLI would print them), and leave no manifest when it fails.
@@ -133,22 +134,61 @@ def byte_corruptions(data):
         yield "dup-line@%d" % i, data[:end] + data[start:end] + data[end:]
 
 
-def test_corrupt_file_failure_contract(tmp_path, capfd, caplog):
+def set_first(layer, key, value):
+    """A change to a network's JSON: entry 0 of `key` in layer `layer` set to `value`."""
+    return lambda net: net["layers"][layer][key].__setitem__(0, value)
+
+
+# One entry of one network replaced: an activation that is not a list, and
+# values numpy would convert (null to NaN, "1.0" and true to 1.0, 3.7 rows to
+# 3) but that are not the JSON numbers and integers a checkpoint holds.
+CHECKPOINT_ENTRIES = {
+    "activations=5": ("feature", lambda net: net.update(activations=5)),
+    "activations=None": ("feature", lambda net: net.update(activations=None)),
+    "layers[0].weight[0]=null": ("feature", set_first(0, "weight", None)),
+    "layers[0].bias[0]=null": ("classifier", set_first(0, "bias", None)),
+    "layers[0].weight[0]='1.0'": ("weight", set_first(0, "weight", "1.0")),
+    "layers[1].weight[0]=true": ("feature", set_first(1, "weight", True)),
+    # truncated to an int, 0.7 more rows would still match the weight count
+    "layers[0].rows+0.7": (
+        "classifier", lambda net: net["layers"][0].update(rows=net["layers"][0]["rows"] + 0.7)
+    ),
+}
+
+
+def trained_tiny_run(tmp_path):
+    """(config path, run directory holding a tiny pair and its trained checkpoint)."""
     base = tmp_path / "base.ini"
     base.write_text(config_text("experiment", "seed", "0"), encoding="utf-8")
     run_dir = tmp_path / "run"
     assert main(["generate", "--config", str(base), "--out", str(run_dir)]) == 0
     assert main(["train", "--config", str(base), "--out", str(run_dir)]) == 0
-    checkpoint = json.loads((run_dir / "checkpoint.json").read_text(encoding="utf-8"))
+    return base, run_dir
+
+
+def checkpoint_variants(run_dir):
+    """(label, network, checkpoint bytes) for each of `CHECKPOINT_ENTRIES`."""
+    text = (run_dir / "checkpoint.json").read_text(encoding="utf-8")
+    for label, (network, corrupt) in CHECKPOINT_ENTRIES.items():
+        checkpoint = json.loads(text)
+        corrupt(checkpoint["networks"][network])
+        yield label, network, json.dumps(checkpoint).encode()
+
+
+def eval_argv(data_dir):
+    return ["eval", "--checkpoint", str(data_dir / "checkpoint.json"),
+            "--data", str(data_dir / "target.txt")]
+
+
+def test_corrupt_file_failure_contract(tmp_path, capfd, caplog):
+    base, run_dir = trained_tiny_run(tmp_path)
     corruptions = {
         name: list(byte_corruptions((run_dir / name).read_bytes()))
         for name in ("source.txt", "target.txt", "checkpoint.json")
     }
-    for value in (5, None):
-        checkpoint["networks"]["feature"]["activations"] = value
-        corruptions["checkpoint.json"].append(
-            ("activations=%r" % value, json.dumps(checkpoint).encode())
-        )
+    corruptions["checkpoint.json"] += [
+        (label, data) for label, _, data in checkpoint_variants(run_dir)
+    ]
     problems = []
     for name, variants in corruptions.items():
         for i, (label, data) in enumerate(variants):
@@ -159,8 +199,32 @@ def test_corrupt_file_failure_contract(tmp_path, capfd, caplog):
             if name == "source.txt":
                 argv = ["train", "--config", str(base), "--data", str(case / "data")]
             else:
-                argv = ["eval", "--checkpoint", str(case / "data" / "checkpoint.json"),
-                        "--data", str(case / "data" / "target.txt")]
+                argv = eval_argv(case / "data")
             argv += ["--out", str(out)]
             problems += run_case(capfd, caplog, argv, out, "%s %s" % (name, label))
     assert problems == []
+
+
+def test_checkpoint_entry_of_wrong_json_type_is_format_error(tmp_path, capfd):
+    _, run_dir = trained_tiny_run(tmp_path)
+    wrong = []
+    for label, network, data in checkpoint_variants(run_dir):
+        (run_dir / "checkpoint.json").write_bytes(data)
+        capfd.readouterr()
+        out = tmp_path / label
+        code = main(eval_argv(run_dir) + ["--out", str(out)])
+        err = capfd.readouterr().err
+        if code != 3 or err.count("\n") != 1 or repr(network) not in err or out.exists():
+            wrong.append((label, code, err))
+    assert wrong == []
+
+
+def test_nan_checkpoint_weight_stays_numerical_error(tmp_path, capfd):
+    _, run_dir = trained_tiny_run(tmp_path)
+    checkpoint = json.loads((run_dir / "checkpoint.json").read_text(encoding="utf-8"))
+    checkpoint["networks"]["feature"]["layers"][0]["weight"][0] = float("nan")
+    (run_dir / "checkpoint.json").write_text(json.dumps(checkpoint), encoding="utf-8")
+    assert "NaN" in (run_dir / "checkpoint.json").read_text(encoding="utf-8")
+    capfd.readouterr()
+    assert main(eval_argv(run_dir) + ["--out", str(tmp_path / "out")]) == 4
+    assert capfd.readouterr().err == "numerical error: model parameters are not finite\n"

@@ -300,6 +300,9 @@ def solve_exact(cost, p1, p2):
     options.output_flag = False
     options.log_to_console = False
     options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    # HiGHS's floor (it rejects less). At the default 1e-7 it can stop at a
+    # basis holding an entry of -1e-8; zeroing it moved the marginals.
+    options.primal_feasibility_tolerance = 1e-10
     solver = highs._Highs()
     solver.passOptions(options)
     # Row-sum constraints then column-sum constraints (the last one dropped).

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from iwot import losses, nets
+from iwot import losses, nets, ot
 from iwot.data import LabelSplit, ShiftSpec, generate_pair
 from iwot.errors import ConfigError, DataFormatError, NumericalError
 from iwot.settings import plan_for_setting
@@ -332,3 +332,24 @@ class TestTrainingBehavior:
         _, hist = train(source, target, plan_for_setting("pda"), cfg)
         active = [r for r in hist.records if r.epoch == 1]
         assert all(r.converged for r in active)
+
+    def test_exact_plans_hold_their_marginals_through_training(self, monkeypatch):
+        # UniDA with the exact solver on the benchmark's data shape. At
+        # HiGHS's default primal tolerance, LP 31 of this training stopped at
+        # a basis holding an entry of -3e-8, and zeroing it left the plan
+        # 3.05e-8 off its marginals.
+        real_solve = ot.solve_exact
+        errors = []
+
+        def checked(cost, p1, p2):
+            plan = real_solve(cost, p1, p2)
+            errors.append(max(abs(plan.sum(axis=1) - p1).max(), abs(plan.sum(axis=0) - p2).max()))
+            return plan
+
+        monkeypatch.setattr(ot, "solve_exact", checked)
+        shift = ShiftSpec(rotation=0.5, translation=(0.5,), noise_std=0.3)
+        source, target = generate_pair(LabelSplit(3, 2, 2), 600, 600, 8, seed=9901, shift=shift)
+        cfg = TrainConfig(epochs=14, warmup_epochs=10, batch_size=64, solver="exact", seed=0)
+        train(source, target, plan_for_setting("unida", beta=0.3), cfg)
+        assert len(errors) == 40
+        assert max(errors) <= 1e-12

@@ -45,54 +45,3 @@ from .settings import Setting, SettingPlan, parse_setting, plan_for_setting
 from .training import TrainConfig, TrainHistory, TrainedModel, load_history_csv, train
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "CouplingReport",
-    "DataFormatError",
-    "DegenerateInputError",
-    "DomainDataset",
-    "EvalReport",
-    "LabelSplit",
-    "LossGrads",
-    "Mlp",
-    "NumericalError",
-    "Setting",
-    "SettingPlan",
-    "SgdMomentum",
-    "ShiftSpec",
-    "SinkhornResult",
-    "TrainConfig",
-    "TrainHistory",
-    "TrainedModel",
-    "TransportStep",
-    "TransportTerm",
-    "WeightAssignment",
-    "cosine_cost",
-    "coupling_cost",
-    "cross_entropy",
-    "evaluate",
-    "generate_pair",
-    "h_score",
-    "iot_loss",
-    "load_checkpoint",
-    "load_dataset",
-    "load_history_csv",
-    "loss_backward",
-    "normalize_weights",
-    "parse_setting",
-    "partial_coupling",
-    "plan_for_setting",
-    "sa_loss",
-    "save_checkpoint",
-    "save_dataset",
-    "score_predictions",
-    "solve_exact",
-    "solve_sinkhorn",
-    "total_loss",
-    "train",
-    "transport_step",
-    "validate_coupling",
-    "wot_loss",
-    "__version__",
-]

@@ -1,5 +1,7 @@
 """Training loop: sampling, determinism, the unsupervised contract, history."""
 
+import copy
+import dataclasses
 import logging
 import math
 
@@ -10,13 +12,18 @@ from numpy.testing import assert_allclose
 from iwot import losses, nets, ot
 from iwot.data import LabelSplit, ShiftSpec, generate_pair
 from iwot.errors import ConfigError, DataFormatError, NumericalError
+from iwot.losses import normalize_weights
+from iwot.nets import SgdMomentum, cross_entropy
 from iwot.settings import plan_for_setting
 from iwot.training import (
     EpochSampler,
     TrainConfig,
+    _step,
+    build_model,
     load_history_csv,
     train,
 )
+from test_losses import frozen_objective, frozen_rows_objective
 
 HEADER = "step,epoch,classification,transport,separation,intra,total,converged"
 
@@ -293,6 +300,98 @@ class TestLayerSites:
         adapted = [r for r in hist.records if r.transport != 0.0]
         assert len(adapted) == 6
         assert calls == {name: len(adapted) for name in names}
+
+
+def step_objective(model, plan, step, batch, target_x):
+    """The objective one `_step` descends, with the step's plans frozen: the
+    classification loss, the transport side at the model's features, and the
+    frozen-rows weight objective at the model's raw weights."""
+    feats = [model.features(x) for x in (batch[0], target_x)]
+    value = cross_entropy(model.class_logits(feats[0]), batch[1])[0]
+    value += frozen_objective(plan, dataclasses.replace(step, features=tuple(feats)))
+    if any(plan.weighted):
+        # A side without weights keeps a constant placeholder marginal.
+        raw = [np.ones(len(f)) if w is None else model.instance_weights(f)
+               for f, w in zip(feats, step.weights)]
+        base = [normalize_weights(np.ones(len(f))) if w is None else w
+                for f, w in zip(feats, step.weights)]
+        value += frozen_rows_objective(plan, *raw, *base, step.wot, step.iot)
+    return value
+
+
+class TestStepGradients:
+    @pytest.mark.parametrize("solver", ["exact", "sinkhorn"])
+    @pytest.mark.parametrize("setting", ["pda", "osda", "unida", "csda"])
+    def test_every_parameter_gradient_matches_central_differences(
+        self, monkeypatch, setting, solver
+    ):
+        # One adaptation step with plain SGD: the gradient each optimizer
+        # receives must be that of `step_objective`. This pins how `_step`
+        # wires the terms: the classifier's feature gradient on the source
+        # batch only, each weighted side's weight-head gradient into that
+        # side's features, and the two batches' feature-net gradients summed.
+        rng = np.random.default_rng(7)
+        cfg = TrainConfig(hidden_dim=6, feature_dim=4, momentum=0.0, weight_decay=0.0,
+                          solver=solver)
+        plan = plan_for_setting(setting)
+        model = build_model(5, 3, cfg, rng)
+        # Nonzero biases, so that no feature row is all zeros and every bias
+        # gradient is exercised.
+        for net in (model.feature_net, model.classifier_net, model.weight_net):
+            net.biases = [rng.uniform(0.1, 0.5, b.shape) for b in net.biases]
+        batch = rng.normal(size=(8, 5)), rng.integers(0, 3, 8)
+        target_x = rng.normal(size=(9, 5))
+        before = copy.deepcopy(model)
+        nets_by_name = {"feature": before.feature_net, "classifier": before.classifier_net,
+                        "weight": before.weight_net}
+        received = {}
+        optimizers = []
+        for name, net in zip(nets_by_name, (model.feature_net, model.classifier_net,
+                                            model.weight_net)):
+            optimizer = SgdMomentum(net, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
+
+            def recording(grads, name=name, real=optimizer.step):
+                received[name] = grads
+                real(grads)
+
+            optimizer.step = recording
+            optimizers.append(optimizer)
+        steps = []
+        real_transport_step = losses.transport_step
+
+        def capturing(*args, **kwargs):
+            steps.append(real_transport_step(*args, **kwargs))
+            return steps[-1]
+
+        monkeypatch.setattr(losses, "transport_step", capturing)
+        _step(model, plan, cfg, optimizers, batch, target_x, 0, 0)
+        (step,) = steps
+        assert ("weight" in received) == any(plan.weighted)
+
+        # At h = 1e-5 the worst array was 3.5e-7 off; dropping the weight
+        # head's feature gradient puts the feature net 5e-4 to 1e-3 off.
+        h = 1e-5
+        checked = 0
+        for name, net in nets_by_name.items():
+            grads = received.get(name)
+            for layer, arrays in enumerate(zip(net.weights, net.biases)):
+                for kind, array in enumerate(arrays):
+                    fd = np.zeros_like(array)
+                    for index in np.ndindex(array.shape):
+                        original = array[index]
+                        values = []
+                        for delta in (h, -h):
+                            array[index] = original + delta
+                            values.append(step_objective(before, plan, step, batch, target_x))
+                        array[index] = original
+                        fd[index] = (values[0] - values[1]) / (2 * h)
+                    if grads is None:
+                        assert (fd == 0).all(), (name, layer, kind)
+                        continue
+                    error = np.abs(grads[layer][kind] - fd).max() / np.abs(fd).max()
+                    assert error <= 1e-5, (name, layer, kind, error)
+                    checked += 1
+        assert checked == (10 if any(plan.weighted) else 8)
 
 
 class TestTrainingBehavior:

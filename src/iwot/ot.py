@@ -357,8 +357,9 @@ def solve_exact(cost, p1, p2):
         run_status, status, solution, info = _solve_lp(solver)
         if resolving and info.max_primal_infeasibility > 0:
             # A re-solve starts from a basis the new columns make dual
-            # infeasible, and HiGHS's clean-up may then stop up to 1e-7 off the
-            # marginals; such a pass is run again cold, as a first pass is.
+            # infeasible, and HiGHS's clean-up may then stop off the marginals
+            # (seen at its default 1e-7 tolerance, not at 1e-10); such a pass
+            # is run again cold, with no starting basis.
             solver.clearSolver()
             run_status, status, solution, info = _solve_lp(solver)
         if run_status == highs.HighsStatus.kError:

@@ -335,19 +335,21 @@ class TestStepGradients:
                           solver=solver)
         plan = plan_for_setting(setting)
         model = build_model(5, 3, cfg, rng)
+        names = ("feature", "classifier", "weight")
+
+        def networks(m):
+            return m.feature_net, m.classifier_net, m.weight_net
+
         # Nonzero biases, so that no feature row is all zeros and every bias
         # gradient is exercised.
-        for net in (model.feature_net, model.classifier_net, model.weight_net):
+        for net in networks(model):
             net.biases = [rng.uniform(0.1, 0.5, b.shape) for b in net.biases]
         batch = rng.normal(size=(8, 5)), rng.integers(0, 3, 8)
         target_x = rng.normal(size=(9, 5))
         before = copy.deepcopy(model)
-        nets_by_name = {"feature": before.feature_net, "classifier": before.classifier_net,
-                        "weight": before.weight_net}
         received = {}
         optimizers = []
-        for name, net in zip(nets_by_name, (model.feature_net, model.classifier_net,
-                                            model.weight_net)):
+        for name, net in zip(names, networks(model)):
             optimizer = SgdMomentum(net, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
 
             def recording(grads, name=name, real=optimizer.step):
@@ -372,7 +374,7 @@ class TestStepGradients:
         # head's feature gradient puts the feature net 5e-4 to 1e-3 off.
         h = 1e-5
         checked = 0
-        for name, net in nets_by_name.items():
+        for name, net in zip(names, networks(before)):
             grads = received.get(name)
             for layer, arrays in enumerate(zip(net.weights, net.biases)):
                 for kind, array in enumerate(arrays):

@@ -42,6 +42,6 @@ from .ot import (
     validate_coupling,
 )
 from .settings import Setting, SettingPlan, parse_setting, plan_for_setting
-from .training import TrainConfig, TrainHistory, TrainedModel, load_history_csv, train
+from .training import TrainConfig, TrainHistory, TrainedModel, train
 
 __version__ = "0.1.0"

@@ -180,10 +180,6 @@ def _write_manifest(out_dir, command, seed, inputs, outputs, settings):
     return path
 
 
-def _ensure_out_dir(path):
-    os.makedirs(path, exist_ok=True)
-
-
 def cmd_generate(args):
     config, snapshot = _load_experiment(args.config)
     _apply_seed_override(config, args)
@@ -196,7 +192,7 @@ def cmd_generate(args):
         config.train.seed,
         shift=config.shift,
     )
-    _ensure_out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     save_dataset(os.path.join(args.out, SOURCE_FILE), source)
     save_dataset(os.path.join(args.out, TARGET_FILE), target)
     _write_manifest(
@@ -236,7 +232,7 @@ def cmd_train(args):
         "input_dim": source.dim,
         "seed": config.train.seed,
     }
-    _ensure_out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     save_checkpoint(
         os.path.join(args.out, CHECKPOINT_FILE),
         {
@@ -255,9 +251,7 @@ def cmd_train(args):
         outputs=[CHECKPOINT_FILE, HISTORY_FILE],
         settings=snapshot,
     )
-    last = history.records[-1] if history.records else None
-    if last is not None:
-        print("trained %d steps; final total loss %.6f" % (len(history), last.total))
+    print("trained %d steps; final total loss %.6f" % (len(history), history.records[-1].total))
     print("wrote %s and %s to %s" % (CHECKPOINT_FILE, HISTORY_FILE, args.out))
     return EXIT_OK
 
@@ -323,7 +317,7 @@ def cmd_eval(args):
         inputs.append(os.path.abspath(args.source))
 
     report = evaluate(model, target, plan, source=source)
-    _ensure_out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     report.save_json(os.path.join(args.out, REPORT_JSON))
     report.save_csv(os.path.join(args.out, REPORT_CSV))
     _write_manifest(
@@ -359,7 +353,6 @@ def cmd_ot_check(args):
     max_vertex_gap = 0.0
     max_entropic_gap = 0.0
     max_marginal_err = 0.0
-    last = None
     for _ in range(args.instances):
         cost = rng.uniform(0.0, 2.0, size=(n, n))
         exact_plan = ot.solve_exact(cost, uniform, uniform)
@@ -384,9 +377,8 @@ def cmd_ot_check(args):
         )
         # Feasibility is judged on the returned coupling, which the solver
         # projects onto the polytope; marginal_error reports the raw iterate.
-        row_dev = np.abs(entropic.coupling.sum(axis=1) - uniform).max()
-        col_dev = np.abs(entropic.coupling.sum(axis=0) - uniform).max()
-        max_marginal_err = max(max_marginal_err, row_dev, col_dev)
+        check = ot.validate_coupling(entropic.coupling, uniform, uniform)
+        max_marginal_err = max(max_marginal_err, check.max_row_dev, check.max_col_dev)
         last = (cost, exact_plan, entropic.coupling)
 
     perm_pass = max_perm_gap <= 1e-8
@@ -410,7 +402,7 @@ def cmd_ot_check(args):
     )
 
     if args.out is not None:
-        _ensure_out_dir(args.out)
+        os.makedirs(args.out, exist_ok=True)
         cost, exact_plan, entropic_plan = last
         ot.write_matrix_csv(os.path.join(args.out, "cost.csv"), cost)
         ot.write_matrix_csv(os.path.join(args.out, "coupling_exact.csv"), exact_plan)

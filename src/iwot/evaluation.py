@@ -37,7 +37,7 @@ UNKNOWN = -1
 WEIGHT_THRESHOLD = 0.5
 
 
-def predict_batch(model, features, open_set, threshold=WEIGHT_THRESHOLD):
+def predict_batch(model, features, open_set):
     """Labels, weights and logits for a feature matrix in one pass."""
     if not model.has_finite_params():
         raise NumericalError("model parameters are not finite")
@@ -46,7 +46,7 @@ def predict_batch(model, features, open_set, threshold=WEIGHT_THRESHOLD):
     weights = model.instance_weights(feats)
     labels = logits.argmax(axis=1)
     if open_set:
-        labels = np.where(weights > threshold, labels, UNKNOWN)
+        labels = np.where(weights > WEIGHT_THRESHOLD, labels, UNKNOWN)
     return labels.astype(np.int64), weights, logits
 
 
@@ -167,13 +167,14 @@ def wasserstein_gap(features_a, features_b, raw_weights_a=None, raw_weights_b=No
     return uniform_value, learned_value
 
 
-def evaluate(model, target, plan, source=None, gap_samples=256, gap_seed=0):
+def evaluate(model, target, plan, source=None):
     """Score a model on a labeled target set; optionally add the domain-gap diagnostic.
 
-    The diagnostic needs the source dataset; it subsamples both domains to at
-    most `gap_samples` points (deterministic in `gap_seed`), runs them through
-    the feature net, and solves exact transport with uniform and with learned
-    marginals per the plan.
+    The diagnostic needs the source dataset. It subsamples each domain to at
+    most 256 points, drawn without replacement by one generator seeded with 0
+    (source first), so the subsample is fixed; runs them through the feature
+    net; and solves exact transport with uniform and with learned marginals
+    per the plan.
     """
     if target.labels is None:
         raise ValueError("evaluation needs target labels")
@@ -181,10 +182,10 @@ def evaluate(model, target, plan, source=None, gap_samples=256, gap_seed=0):
     report = score_predictions(predicted, target.labels, target.split.n_common)
 
     if source is not None:
-        rng = np.random.default_rng(gap_seed)
+        rng = np.random.default_rng(0)
         feats, weights = [], []
         for dataset, learned in zip((source, target), plan.learned):
-            idx = rng.choice(dataset.n, size=min(gap_samples, dataset.n), replace=False)
+            idx = rng.choice(dataset.n, size=min(256, dataset.n), replace=False)
             feats.append(model.features(dataset.features[idx]))
             weights.append(model.instance_weights(feats[-1]) if learned else None)
         report.wasserstein_uniform, report.wasserstein_learned = wasserstein_gap(*feats, *weights)

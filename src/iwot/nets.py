@@ -186,7 +186,7 @@ def cross_entropy(logits, labels):
 
 
 class SgdMomentum:
-    """Classical momentum SGD with decoupled-from-nothing weight decay.
+    """Classical momentum SGD; weight decay adds an L2 term to the gradient.
 
     The update per parameter p with gradient g is
         v <- momentum * v + g + weight_decay * p
@@ -205,22 +205,19 @@ class SgdMomentum:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._vel_w = [np.zeros_like(w) for w in net.weights]
-        self._vel_b = [np.zeros_like(b) for b in net.biases]
+        # The velocities of the weights, then of the biases.
+        self._velocity = [[np.zeros_like(p) for p in ps] for ps in (net.weights, net.biases)]
 
     def step(self, grads):
         """Apply one update from `grads`, a list of (dW, db) as returned by Mlp.backward."""
         if len(grads) != self.net.n_layers:
             raise ValueError("gradient list does not match network depth")
-        for i, (dw, db) in enumerate(grads):
-            self._vel_w[i] = (
-                self.momentum * self._vel_w[i] + dw + self.weight_decay * self.net.weights[i]
-            )
-            self._vel_b[i] = (
-                self.momentum * self._vel_b[i] + db + self.weight_decay * self.net.biases[i]
-            )
-            self.net.weights[i] = self.net.weights[i] - self.lr * self._vel_w[i]
-            self.net.biases[i] = self.net.biases[i] - self.lr * self._vel_b[i]
+        for params, velocity, param_grads in zip(
+            (self.net.weights, self.net.biases), self._velocity, zip(*grads)
+        ):
+            for i, grad in enumerate(param_grads):
+                velocity[i] = self.momentum * velocity[i] + grad + self.weight_decay * params[i]
+                params[i] = params[i] - self.lr * velocity[i]
 
 
 def _net_to_json(net):

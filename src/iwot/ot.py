@@ -31,8 +31,8 @@ reached through a geometric schedule of plain stages, each warm-started from
 the last, so that it stays cheap; where the kernel would underflow, as at the
 last levels of a reg around 1e-3, a stage starts with one log-sum-exp
 iteration that re-centres the potentials, after which the underflowing entries
-are truncated to zero. Atoms with zero marginal mass are removed before either
-solver runs and restored as zero rows/columns.
+are truncated to zero. Atoms with zero mass (for Sinkhorn, also those too light
+for the truncated kernel) are removed first and restored as zero rows/columns.
 
 Both compiled solvers, SciPy's assignment module `_lsap` and HiGHS's
 `_highspy._core`, are loaded straight from their extension files under their
@@ -108,11 +108,10 @@ def _check_problem(cost, p1, p2):
     return cost, p1, p2
 
 
-def cosine_cost(features_a, features_b):
-    """Pairwise cosine dissimilarity matrix between two feature batches.
+def _unit_rows(features_a, features_b):
+    """The unit rows and row norms of two 2-D feature batches of equal width.
 
-    Entry (i, j) is 1 - cos(a_i, b_j), which lies in [0, 2]. Rows with zero
-    norm have no direction, so they are rejected.
+    Rows with zero norm have no direction, so they are rejected.
     """
     a = np.asarray(features_a, dtype=np.float64)
     b = np.asarray(features_b, dtype=np.float64)
@@ -122,8 +121,17 @@ def cosine_cost(features_a, features_b):
     norm_b = np.linalg.norm(b, axis=1)
     if (norm_a == 0).any() or (norm_b == 0).any():
         raise DegenerateInputError("zero-norm feature row has no cosine direction")
-    sim = (a / norm_a[:, None]) @ (b / norm_b[:, None]).T
-    return np.clip(1.0 - sim, 0.0, 2.0)
+    return a / norm_a[:, None], norm_a, b / norm_b[:, None], norm_b
+
+
+def cosine_cost(features_a, features_b):
+    """Pairwise cosine dissimilarity matrix between two feature batches.
+
+    Entry (i, j) is 1 - cos(a_i, b_j), which lies in [0, 2]. Rows with zero
+    norm have no direction, so they are rejected.
+    """
+    unit_a, _, unit_b, _ = _unit_rows(features_a, features_b)
+    return np.clip(1.0 - unit_a @ unit_b.T, 0.0, 2.0)
 
 
 def cosine_cost_grad(features_a, features_b, upstream):
@@ -133,17 +141,10 @@ def cosine_cost_grad(features_a, features_b, upstream):
     d(loss)/d(features_b)). The clip in the forward pass only binds at exact
     rounding boundaries and is treated as the identity here.
     """
-    a = np.asarray(features_a, dtype=np.float64)
-    b = np.asarray(features_b, dtype=np.float64)
+    unit_a, norm_a, unit_b, norm_b = _unit_rows(features_a, features_b)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (a.shape[0], b.shape[0]):
+    if upstream.shape != (norm_a.size, norm_b.size):
         raise ValueError("upstream gradient shape must match the cost matrix")
-    norm_a = np.linalg.norm(a, axis=1)
-    norm_b = np.linalg.norm(b, axis=1)
-    if (norm_a == 0).any() or (norm_b == 0).any():
-        raise DegenerateInputError("zero-norm feature row has no cosine direction")
-    unit_a = a / norm_a[:, None]
-    unit_b = b / norm_b[:, None]
     # cost = 1 - unit_a @ unit_b.T, so d(cost)/d(sim) = -1.
     g_unit_a = -upstream @ unit_b
     g_unit_b = -upstream.T @ unit_a
@@ -536,6 +537,11 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000):
     finite) within the budget. A tiny `reg` underflows whole kernel rows; the
     schedule stops at the first stage that leaves a potential non-finite, and
     the non-finite plan raises NumericalError.
+
+    Atoms of mass at most sqrt(max(m, n) e^_EXP_FLOOR), about 1e-153, come back
+    as zero rows or columns: the truncated kernel keeps row i only while
+    p1_i * min p2 / n >= e^_EXP_FLOOR (see `_sinkhorn_stage`), and column j
+    likewise, which any two kept atoms satisfy; an emptied row divides by zero.
     """
     cost, p1, p2 = _check_problem(cost, p1, p2)
     if not (np.isfinite(reg) and reg > 0):
@@ -544,6 +550,8 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000):
         raise ValueError("tol must be nonnegative and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    floor = np.sqrt(max(cost.shape) * np.exp(_EXP_FLOOR))
+    p1, p2 = np.where(p1 > floor, p1, 0.0), np.where(p2 > floor, p2, 0.0)
     active_cost, ap1, ap2, rows, cols = _reduce_support(cost, p1, p2)
     active_cost = active_cost - min(active_cost.min(), 0.0)
     log_p1 = np.log(ap1)

@@ -6,14 +6,14 @@ with one, it first runs the transport side (`losses.transport_step`) and
 then backpropagates the frozen-plan gradients into all networks. Target
 labels are stripped before the loop starts, so nothing can touch them.
 
-Per-step loss terms land in a TrainHistory whose CSV round-trips exactly
-(header `step,epoch,classification,transport,separation,intra,total,converged`,
-floats written as %.17g). A step whose batch is numerically degenerate (for
-example a zero-norm feature row) falls back to a classification-only step and
-is recorded as one; the run ends with one warning that counts these steps. A
-step whose activations, loss or updated parameters are not finite (the run
-diverged, say from too large a learning rate) raises NumericalError naming the
-step; so do solver hard failures.
+Per-step loss terms land in a TrainHistory, saved as a CSV with the header
+`step,epoch,classification,transport,separation,intra,total,converged` and
+round-trip-exact floats (%.17g). A step whose batch is numerically degenerate
+(for example a zero-norm feature row) falls back to a classification-only step
+and is recorded as one; the run ends with one warning that counts these
+steps. A step whose activations, loss or updated parameters are not finite
+(the run diverged, say from too large a learning rate) raises NumericalError
+naming the step; so do solver hard failures.
 """
 
 import functools
@@ -25,8 +25,8 @@ import numpy as np
 
 from . import losses
 from .data import DomainDataset, check_array_size
-from .errors import ConfigError, DataFormatError, DegenerateInputError, NumericalError
-from .fileio import atomic_write_text, format_float, read_text
+from .errors import ConfigError, DegenerateInputError, NumericalError
+from .fileio import atomic_write_text, format_float
 from .nets import Mlp, SgdMomentum, cross_entropy
 from .settings import SIDES
 
@@ -99,15 +99,13 @@ class StepRecord:
     converged: bool
 
 
-# The CSV columns are StepRecord's fields in order; each cell is written and
-# read by its field's type.
+# The CSV columns are StepRecord's fields in order, each written by its type.
 HISTORY_HEADER = ",".join(item.name for item in fields(StepRecord))
 _FORMAT = {
     int: lambda value: "%d" % value,
     float: format_float,
     bool: lambda value: "1" if value else "0",
 }
-_PARSE = {int: int, float: float, bool: lambda raw: bool(int(raw))}
 
 
 @dataclass
@@ -127,26 +125,6 @@ class TrainHistory:
             cells = (_FORMAT[item.type](getattr(record, item.name)) for item in columns)
             lines.append(",".join(cells))
         atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def load_history_csv(path):
-    """Parse a history CSV written by TrainHistory.save_csv."""
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != HISTORY_HEADER:
-        raise DataFormatError("history line 1: expected the header %r" % HISTORY_HEADER)
-    columns = fields(StepRecord)
-    history = TrainHistory()
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(columns):
-            raise DataFormatError("history line %d: expected %d fields" % (i, len(columns)))
-        try:
-            history.append(
-                StepRecord(*(_PARSE[item.type](part) for item, part in zip(columns, parts)))
-            )
-        except ValueError as exc:
-            raise DataFormatError("history line %d: %s" % (i, exc)) from exc
-    return history
 
 
 class EpochSampler:
@@ -311,13 +289,12 @@ def train(source, target, plan, config=None):
             history.append(record)
             step += 1
         epoch_records = history.records[-steps_per_epoch:]
-        if epoch_records:
-            log.info(
-                "epoch %d: mean total %.6f over %d steps",
-                epoch,
-                sum(r.total for r in epoch_records) / len(epoch_records),
-                len(epoch_records),
-            )
+        log.info(
+            "epoch %d: mean total %.6f over %d steps",
+            epoch,
+            sum(r.total for r in epoch_records) / len(epoch_records),
+            len(epoch_records),
+        )
     if fallbacks:
         log.warning(
             "%d of %d steps fell back to supervision on a degenerate batch", fallbacks, step

@@ -301,7 +301,7 @@ class TestTrainedBehavior:
                 plan,
                 TrainConfig(epochs=40, warmup_epochs=10, seed=seed),
             )
-            result = evaluate(model, target, plan, source=source, gap_samples=256)
+            result = evaluate(model, target, plan, source=source)
             if result.wasserstein_learned <= result.wasserstein_uniform + 1e-8:
                 ok_count += 1
             margin = min(margin, result.wasserstein_uniform - result.wasserstein_learned)

@@ -1,5 +1,6 @@
 """Command-line flows: generate, train, eval, ot-check, exit codes, manifests."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from iwot import cli, nets, ot
 from iwot.cli import main
 from iwot.data import LabelSplit, load_dataset
-from iwot.training import TrainConfig, load_history_csv
+from iwot.training import TrainConfig
 
 BASE_CONFIG = """\
 [experiment]
@@ -244,11 +245,16 @@ class TestTrainEval:
     def test_history_satisfies_recombination(self, generated):
         config, out = generated
         assert run(["train", "--config", config, "--out", out]) == 0
-        history = load_history_csv(os.path.join(out, "history.csv"))
+        with open(os.path.join(out, "history.csv"), encoding="utf-8", newline="") as handle:
+            rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(handle)]
+        assert rows
         beta, eta, epsilon = 0.3, 0.3, 0.05
-        for r in history.records:
-            recombined = r.classification + beta * r.transport + eta * r.separation + epsilon * r.intra
-            assert abs(r.total - recombined) <= 1e-10
+        for r in rows:
+            recombined = (
+                r["classification"] + beta * r["transport"] + eta * r["separation"]
+                + epsilon * r["intra"]
+            )
+            assert abs(r["total"] - recombined) <= 1e-10
 
     @pytest.mark.parametrize("seed_line", ["seed = -5", None], ids=["config", "override"])
     def test_train_negative_seed_rejected(self, generated, tmp_path, capsys, seed_line):

@@ -70,6 +70,13 @@ class TestCosineCost:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             cosine_cost(np.ones((2, 3)), np.ones((2, 4)))
+        # The gradient shares the forward pass's input checks.
+        for a, b, upstream in (
+            (np.ones(3), np.ones((2, 3)), np.ones((3, 2))),
+            (np.ones((2, 3)), np.ones((2, 4)), np.ones((2, 2))),
+        ):
+            with pytest.raises(ValueError, match="feature batches must be 2-D with equal width"):
+                cosine_cost_grad(a, b, upstream)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -671,6 +678,26 @@ class TestSolveSinkhorn:
         p2 = np.full(3, 1.0 / 3)
         result = solve_sinkhorn(cost, p1, p2, reg=0.05)
         assert (result.coupling[1] == 0.0).all()
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["p1", "p2"])
+    @pytest.mark.parametrize("mass", [1e-308, 1e-310, 1e-320, 1e-150])
+    def test_tiny_mass_atom(self, mass, side):
+        # At most sqrt(64 e^-708), about 1.5e-153, an atom is too light for the
+        # truncated kernel and comes back as a zero row or column; a heavier
+        # one is solved. Either way the plan holds both marginals.
+        rng = np.random.default_rng(25)
+        cost = cosine_cost(rng.normal(size=(64, 8)), rng.normal(size=(64, 8)))
+        tiny, uniform = np.full(64, 1.0 / 63), np.full(64, 1.0 / 64)
+        tiny[7] = mass
+        p1, p2 = (tiny, uniform) if side == 0 else (uniform, tiny)
+        result = solve_sinkhorn(cost, p1, p2, reg=0.05)
+        assert result.converged
+        assert validate_coupling(result.coupling, p1, p2, tol=1e-12).passed
+        atom = np.take(result.coupling, 7, axis=side)
+        if mass < 1e-153:
+            assert (atom == 0.0).all()
+        else:
+            assert atom.sum() > 0.0
 
 
 def anneal_levels(cost, reg):

@@ -11,16 +11,16 @@ from numpy.testing import assert_allclose
 
 from iwot import losses, nets, ot
 from iwot.data import LabelSplit, ShiftSpec, generate_pair
-from iwot.errors import ConfigError, DataFormatError, NumericalError
+from iwot.errors import ConfigError, NumericalError
 from iwot.losses import normalize_weights
 from iwot.nets import SgdMomentum, cross_entropy
 from iwot.settings import plan_for_setting
 from iwot.training import (
     EpochSampler,
+    StepRecord,
     TrainConfig,
     _step,
     build_model,
-    load_history_csv,
     train,
 )
 from test_losses import frozen_objective, frozen_rows_objective
@@ -221,36 +221,16 @@ class TestHistoryContents:
         _, hist = train(source, target, plan_for_setting("pda"), quick_config())
         path = tmp_path / "history.csv"
         hist.save_csv(path)
-        loaded = load_history_csv(path)
-        assert path.read_text(encoding="utf-8").split("\n")[0] == HEADER
-        assert len(loaded) == len(hist)
-        assert loaded.records == hist.records
-
-    @pytest.mark.parametrize(
-        "lines, needle",
-        [
-            ([], "history line 1: "),
-            (["step,epoch,total"], "history line 1: "),
-            ([HEADER, "0,0,1,0,0,0,1"], "history line 2: expected 8 fields"),
-            ([HEADER, "0,0,1,0,0,0,1,1", "1,0,1,0,0,0,1,1,0"], "history line 3: expected 8 fields"),
-            ([HEADER, "0,0,1,0,0,0,1,1", "1,0,x,0,0,0,1,1"], "history line 3: "),
-            ([HEADER, "0,0.5,1,0,0,0,1,1"], "history line 2: "),
-            ([HEADER, "0,0,1,0,0,0,1,yes"], "history line 2: "),
-        ],
-        ids=["empty", "bad-header", "short-row", "long-row", "non-numeric-float",
-             "non-integer-epoch", "non-numeric-flag"],
-    )
-    def test_malformed_csv_names_the_line(self, tmp_path, lines, needle):
-        path = tmp_path / "history.csv"
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        with pytest.raises(DataFormatError, match="^" + needle):
-            load_history_csv(path)
-
-    def test_non_utf8_csv_is_format_error(self, tmp_path):
-        path = tmp_path / "history.csv"
-        path.write_bytes((HEADER + "\n0,0,1,0,0,0,1,1\n").encode() + b"\xff\n")
-        with pytest.raises(DataFormatError, match="history.csv is not UTF-8"):
-            load_history_csv(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == HEADER
+        # Each cell parsed by its field's type: floats must come back bit-equal.
+        parse = {int: int, float: float, bool: lambda raw: bool(int(raw))}
+        columns = dataclasses.fields(StepRecord)
+        loaded = [
+            StepRecord(*(parse[item.type](cell) for item, cell in zip(columns, line.split(","))))
+            for line in lines[1:]
+        ]
+        assert loaded == hist.records
 
     def test_degenerate_transport_falls_back_to_supervision(self, caplog):
         # all-zero inputs pass through zero-initialized biases and dead relus,

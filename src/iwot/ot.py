@@ -11,14 +11,14 @@ solved by SciPy's `linear_sum_assignment` and its marginals hold
 exactly. Every other problem is the transportation linear program, solved by
 the shortlist method: HiGHS's dual simplex solves it on each row's and
 column's 8 arcs of least reduced cost under the duals of a short entropic
-solve, plus a north-west-corner staircase. Its first pass starts from the
-spanning tree of the listed arcs of least reduced cost, a basis near the
-optimum, and prices with Devex edge weights, which unlike steepest edge cost
-nothing to set up for a basis other than the slack one. The row duals price
-every other arc, and arcs priced below -1e-9 are added and the LP re-solved
-until none is left, so the plan is optimal for the full LP. HiGHS's primal
-feasibility tolerance sits at its floor, 1e-10, so the marginals hold to
-round-off on this path too.
+solve annealed by eps-scaling, plus a north-west-corner staircase. Its first
+pass starts from the spanning tree of the listed arcs of least reduced cost,
+a basis near the optimum, and prices with Devex edge weights, which unlike
+steepest edge cost nothing to set up for a basis other than the slack one.
+The row duals price every other arc, and arcs priced below -1e-9 are added
+and the LP re-solved until none is left, so the plan is optimal for the full
+LP. HiGHS's primal feasibility tolerance sits at its floor, 1e-10, so the
+marginals hold to round-off on this path too.
 
 `solve_sinkhorn` is an entropic solver written here directly: each stage is
 one loop of stabilized scaling (Schmitzer 2019), matrix-vector scalings of a
@@ -37,7 +37,8 @@ for the truncated kernel) are removed first and restored as zero rows/columns.
 Both compiled solvers, SciPy's assignment module `_lsap` and HiGHS's
 `_highspy._core`, are loaded straight from their extension files under their
 real names, because running the `scipy.optimize` package `__init__` would
-import linalg, sparse, fft and special and cost most of the CLI's start-up.
+import linalg, sparse, fft and special and cost most of the CLI's start-up;
+not even the `scipy` package `__init__` runs.
 
 Cosine dissimilarity (1 - cosine similarity, range [0, 2]) is the cost used
 throughout the package; its gradient with respect to both feature sets is
@@ -50,7 +51,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import DegenerateInputError, NumericalError
 from .fileio import atomic_write_text, format_float
@@ -64,9 +64,11 @@ def _scipy_extension(name):
     It runs under its dotted name, to which CPython keys loaded extensions, so
     an `import` of the same name, before or after, yields the same module.
     """
-    directory = os.path.join(scipy.__path__[0], *name.split(".")[1:-1])
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    directory = os.path.join(root, *name.split(".")[1:-1])
     spec = importlib.machinery.PathFinder.find_spec(name, [directory])
     if spec is None:
+        import scipy  # only here: its `__init__` costs about 15 ms
         raise ImportError("%s is not in SciPy %s" % (name, scipy.__version__))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -212,8 +214,9 @@ def _restore_support(plan, rows, cols):
 # Arcs per row and column in the first LP; arcs join at reduced cost < -tol.
 _SHORTLIST = 8
 _PRICING_TOL = 1e-9
-# The ranking's potentials: plain Sinkhorn iterations at the cost range / scale.
-_RANK_ITERATIONS, _RANK_SCALE = 30, 40.0
+# The ranking's potentials: plain Sinkhorn iterations at each eps = the cost
+# range / scale, as (iterations, scale), each level warm-started from the last.
+_RANK_SCHEDULE = ((30, 40.0), (10, 80.0), (10, 160.0), (10, 320.0))
 
 
 def _shortlist(cost, p1, p2):
@@ -222,19 +225,25 @@ def _shortlist(cost, p1, p2):
 
     Each row's and each column's _SHORTLIST arcs of least reduced cost
     c_ij - eps f_i - eps g_j (all of them on a shorter side), with f, g from
-    _RANK_ITERATIONS `_sinkhorn_stage` iterations at eps = the cost range /
-    _RANK_SCALE (0.05 on cosine costs, 1 on a constant cost), plus the
-    north-west-corner staircase of m + n - 1 arcs from (0, 0) to (m-1, n-1),
-    which carries a feasible plan: it steps down where a row's cumulative mass
-    runs out before the column's, and right otherwise. The staircase joins
-    every row and column, so Kruskal's algorithm over the listed arcs, taken
-    in order of reduced cost, finds a tree of m + n - 1 of them.
+    `_sinkhorn_stage` over the eps-scaling schedule _RANK_SCHEDULE, from the
+    cost range / 40 down to the range / 320 (0.00625 on cosine costs; eps is 1
+    on a constant cost), each level warm-started from the last one's
+    potentials times 2, on masses floored as in `solve_sinkhorn` so that no
+    kernel row empties; plus the north-west-corner staircase of m + n - 1
+    arcs from (0, 0) to (m-1, n-1), which carries a feasible plan: it steps
+    down where a row's cumulative mass runs out before the column's, and
+    right otherwise. The staircase joins every row and column, so Kruskal's
+    algorithm over the listed arcs, taken in order of reduced cost, finds a
+    tree of m + n - 1 of them.
     """
     m, n = cost.shape
-    kernel = (cost.min() - cost) / (np.ptp(cost) / _RANK_SCALE or 1.0)
-    f, g, _, _ = _sinkhorn_stage(
-        kernel, np.log(p1), np.log(p2), np.zeros(m), np.zeros(n), 0.0, _RANK_ITERATIONS, 1.0
-    )
+    floor = np.sqrt(max(m, n) * np.exp(_EXP_FLOOR))  # as in solve_sinkhorn
+    log_p1, log_p2 = np.log(np.maximum(p1, floor)), np.log(np.maximum(p2, floor))
+    f, g = np.zeros(m), np.zeros(n)
+    gaps, spread = cost.min() - cost, np.ptp(cost)
+    for iterations, scale in _RANK_SCHEDULE:
+        kernel = gaps / (spread / scale or 1.0)
+        f, g, _, _ = _sinkhorn_stage(kernel, log_p1, log_p2, 2.0 * f, 2.0 * g, 0.0, iterations, 1.0)
     reduced = -(kernel + f[:, None] + g)  # the reduced cost over eps
     listed = np.zeros((m, n), dtype=bool)
     k_row, k_col = min(_SHORTLIST, n), min(_SHORTLIST, m)
@@ -302,15 +311,16 @@ def solve_exact(cost, p1, p2):
     pair carries that mass, so every marginal holds exactly. Any other problem
     is the transportation LP, solved by the shortlist method (Gottschlich &
     Schuhmacher 2014): HiGHS's dual simplex, presolve and output off, solves
-    it on the arcs `_shortlist` ranks by entropic dual estimates (Schmitzer,
-    J. Math. Imaging Vis. 2016). The first pass starts from `_shortlist`'s
-    spanning tree, loaded as an alien basis, and every pass prices with Devex
-    dual edge weights (Huangfu & Hall 2018); together they take a quarter to
-    a third of the simplex iterations of a cold steepest-edge start. Every
-    unlisted arc (i, j) is priced with the row duals as c_ij - u_i - v_j (v is
-    0 for the dropped column), arcs below -1e-9 join the same model, and it is
-    solved again (cold, if the warm pass ends primal infeasible) until none is
-    left, so the plan is optimal for the full LP. HiGHS's primal feasibility
+    it on the arcs `_shortlist` ranks by eps-scaled entropic dual estimates
+    (Schmitzer, J. Math. Imaging Vis. 2016 and SIAM J. Sci. Comput. 2019).
+    The first pass starts from `_shortlist`'s spanning tree, loaded as an
+    alien basis, and every pass prices with Devex dual edge weights (Huangfu
+    & Hall 2018); with that ranking they take a tenth to a seventh of the
+    simplex iterations of a cold steepest-edge start. Every unlisted arc
+    (i, j) is priced with the row duals as c_ij - u_i - v_j (v is 0 for the
+    dropped column), arcs below -1e-9 join the same model, and it is solved
+    again (cold, if the warm pass ends primal infeasible) until none is left,
+    so the plan is optimal for the full LP. HiGHS's primal feasibility
     tolerance is 1e-10, its floor, so the plan holds the marginals to
     round-off (any negative round-off entry is zeroed). A failed HiGHS run or
     a model status other than optimal, on any pass, raises NumericalError

@@ -1,6 +1,7 @@
 """The start-up contract: importing iwot loads SciPy's HiGHS and assignment
-extensions without the `scipy.optimize` package, and they are the very modules
-`scipy.optimize` uses, whichever is imported first.
+extensions without running the `scipy` or `scipy.optimize` package `__init__`,
+and they are the very modules `scipy.optimize` uses, whichever is imported
+first.
 
 The import checks run in fresh interpreters, since this test process may
 already hold `scipy.optimize`.
@@ -49,6 +50,7 @@ def test_import_does_not_load_scipy_optimize():
         "import sys\n"
         "import iwot, iwot.cli\n"
         "assert 'scipy.optimize' not in sys.modules, sorted(sys.modules)\n"
+        "assert 'scipy' not in sys.modules, sorted(sys.modules)\n"
     )
 
 

@@ -478,11 +478,28 @@ class TestShortlistRanking:
         assert validate_coupling(plan, p1, p2, tol=1e-8).passed
         assert_allclose(coupling_cost(plan, cost), lp_oracle_value(cost, p1, p2), rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("side", [0, 1], ids=["p1", "p2"])
+    @pytest.mark.parametrize("mass", [1e-320, 5e-324])
+    def test_subnormal_mass_ranks_without_floating_point_errors(self, mass, side):
+        # The ranking floors the masses at `_representable_mass`, so no kernel
+        # row empties and no potential turns non-finite; the LP keeps the true
+        # masses.
+        rng = np.random.default_rng(64)
+        cost = cosine_cost(rng.normal(size=(30, 8)), rng.normal(size=(20, 8)))
+        p1, p2 = np.full(30, 1.0 / 30), np.full(20, 1.0 / 20)
+        tiny = p1 if side == 0 else p2
+        tiny[:] = 1.0 / (tiny.size - 1)
+        tiny[3] = mass
+        with np.errstate(all="raise"):
+            plan = solve_exact(cost, p1, p2)
+        assert validate_coupling(plan, p1, p2, tol=1e-12).passed
+        assert_allclose(coupling_cost(plan, cost), lp_oracle_value(cost, p1, p2), rtol=0, atol=1e-9)
+
     @pytest.mark.parametrize(
         "n, learned_target, arcs, passes",
         # ranked by raw cost, 16 arcs per row and column listed 1,398 and
         # 6,017 arcs, and the 256x256 LP took 2 passes
-        [(64, False, 721, 1), (256, True, 3083, 1)],
+        [(64, False, 744, 1), (256, True, 3141, 1)],
     )
     def test_listed_arcs_and_passes_on_learned_marginals(
         self, exact_routes, n, learned_target, arcs, passes
@@ -538,7 +555,7 @@ class TestTreeStart:
         monkeypatch.setattr(ot.highs, "_Highs", Cold)
         cold_plan = solve_exact(cost, p1, p2)
         assert_allclose(plan, cold_plan, rtol=0, atol=1e-15)
-        assert started < sum(iterations) / 2
+        assert started < sum(iterations) / 5
 
 
 class TestOracleAgreement:

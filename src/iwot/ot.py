@@ -25,14 +25,15 @@ one loop of stabilized scaling (Schmitzer 2019), matrix-vector scalings of a
 kernel with the dual potentials absorbed, rebuilt when the scalings leave
 their bounds. Where the cost is within 64 times the regularization, as for
 cosine costs at reg 0.05, it runs one stage at that regularization,
-over-relaxed with weight 1.5 after its first iteration and plain from the
-first check at which the marginal error rises. A sharper regularization is
-reached through a geometric schedule of plain stages, each warm-started from
-the last, so that it stays cheap; where the kernel would underflow, as at the
-last levels of a reg around 1e-3, a stage starts with one log-sum-exp
-iteration that re-centres the potentials, after which the underflowing entries
-are truncated to zero. Atoms with zero mass (for Sinkhorn, also those too light
-for the truncated kernel) are removed first and restored as zero rows/columns.
+over-relaxed by 2 / (1 + sqrt(reg / max C)) after its first iteration and
+plain from the first check at which the marginal error rises. A sharper
+regularization is reached through a geometric schedule of plain stages, each
+warm-started from the last, so that it stays cheap; where the kernel would
+underflow, as at the last levels of a reg around 1e-3, a stage starts with one
+log-sum-exp iteration that re-centres the potentials, after which the
+underflowing entries are truncated to zero. Atoms with zero mass (for
+Sinkhorn, also those too light for the truncated kernel) are removed first
+and restored as zero rows/columns.
 
 Both compiled solvers, SciPy's assignment module `_lsap` and HiGHS's
 `_highspy._core`, are loaded straight from their extension files under their
@@ -198,14 +199,19 @@ def validate_coupling(coupling, p1, p2, tol=1e-8):
 
 
 def _reduce_support(cost, p1, p2):
+    """The problem on the atoms with mass; the arrays themselves if all have it."""
     rows = p1 > 0
     cols = p2 > 0
+    if rows.all() and cols.all():
+        return cost, p1, p2, rows, cols
     if not rows.any() or not cols.any():
         raise DegenerateInputError("a marginal has empty support")
     return cost[np.ix_(rows, cols)], p1[rows], p2[cols], rows, cols
 
 
 def _restore_support(plan, rows, cols):
+    if plan.shape == (rows.size, cols.size):
+        return plan
     full = np.zeros((rows.size, cols.size))
     full[np.ix_(rows, cols)] = plan
     return full
@@ -409,15 +415,14 @@ _EXP_FLOOR = -708.0
 _RECENTRE_BELOW = -600.0
 _SCALING_BOUND = 1e50
 # A cost whose largest entry is at most this many times reg is solved in one
-# stage at reg, over-relaxed with weight _OMEGA: there annealing saves few
-# iterations and each of its stages rebuilds the kernel, while
-# over-relaxation (Thibault, Chizat, Dossal & Papadakis, "Overrelaxed
-# Sinkhorn-Knopp"; Lehmann, von Renesse, Sambale & Uschmajew, Optim. Lett.
-# 2022) cuts the iterations about threefold. A larger cost keeps the annealed,
-# plain schedule, whose stages mostly run out of budget, so over-relaxing
-# them would only make each iteration dearer.
+# stage at reg, over-relaxed: there annealing saves few iterations and each of
+# its stages rebuilds the kernel. The weight is the SOR optimum 2 / (1 +
+# sqrt(1 - eta)) for a contraction rate eta (Thibault, Chizat, Dossal &
+# Papadakis, "Overrelaxed Sinkhorn-Knopp"; Lehmann, von Renesse, Sambale &
+# Uschmajew, Optim. Lett. 2022), taking 1 - eta as reg / max C; like the best
+# fixed weight on training solves it falls as reg grows. A larger cost keeps
+# the annealed, plain schedule, whose stages mostly run out of budget.
 _ONE_STAGE_SCALE = 64.0
-_OMEGA = 1.5
 # A stage checks its marginal error every this many iterations.
 _CHECK_EVERY = 5
 
@@ -463,8 +468,9 @@ def _sinkhorn_stage(kernel, log_p1, log_p2, f, g, tol, max_iter, omega):
     starts from log(plan) - cost/level <= 0, so nothing else is tested.
     Returns the potentials, the iteration count and the last error.
     """
-    p1 = np.exp(log_p1)
-    p2 = np.exp(log_p2)
+    m = log_p1.size
+    marginals = np.exp(np.concatenate([log_p1, log_p2]))
+    p1, p2 = marginals[:m], marginals[m:]
     absorbed = kernel + f[:, None] + g[None, :]
     iterations = 0
     if absorbed.min() < _RECENTRE_BELOW:
@@ -473,10 +479,12 @@ def _sinkhorn_stage(kernel, log_p1, log_p2, f, g, tol, max_iter, omega):
         absorbed = kernel + f[:, None] + g[None, :]
         iterations = 1
     error = np.inf
+    # u and v share one buffer, as do their residuals: one reduction per bound.
+    residual = np.empty(marginals.size)
     while True:
         scaled = _absorbed_kernel(absorbed)
-        u = np.ones(p1.size)
-        v = np.ones(p2.size)
+        uv = np.ones(marginals.size)
+        u, v = uv[:m], uv[m:]
         kv = scaled.sum(axis=1)
         # Read only if the re-centring spent the whole budget before any pass.
         ktu = scaled.sum(axis=0) if iterations == max_iter else None
@@ -489,19 +497,20 @@ def _sinkhorn_stage(kernel, log_p1, log_p2, f, g, tol, max_iter, omega):
                     ratio = p2 / (v * ktu)
                     v *= ratio**omega
                 else:
-                    u = p1 / kv
+                    np.divide(p1, kv, out=u)
                     ktu = u @ scaled
-                    v = p2 / ktu
+                    np.divide(p2, ktu, out=v)
                 kv = scaled @ v
                 iterations += 1
-            row_err = np.abs(u * kv - p1).max()
-            col_err = np.abs(v * ktu - p2).max()
-            if max(row_err, col_err) > error:
+            np.multiply(u, kv, out=residual[:m])
+            np.multiply(v, ktu, out=residual[m:])
+            residual -= marginals
+            previous, error = error, np.abs(residual, out=residual).max()
+            if error > previous:
                 omega = 1.0
-            error = max(row_err, col_err)
             if error <= tol or iterations >= max_iter:
                 return f + np.log(u), g + np.log(v), iterations, error
-            if max(u.max(), v.max()) > _SCALING_BOUND or min(u.min(), v.min()) < 1.0 / _SCALING_BOUND:
+            if uv.max() > _SCALING_BOUND or uv.min() < 1.0 / _SCALING_BOUND:
                 break
         f = f + np.log(u)
         g = g + np.log(v)
@@ -533,7 +542,8 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000):
 
     A cost with negative entries is shifted to a minimum of 0, which changes
     no entropic plan. If the shifted cost is at most `_ONE_STAGE_SCALE` times
-    `reg` (positive and finite), one over-relaxed stage runs at `reg`.
+    `reg` (positive and finite), one stage runs at `reg`, over-relaxed with
+    weight 2 / (1 + sqrt(reg / max(C.max(), reg))), 1 for a cost within `reg`.
     Otherwise the solver walks a geometric schedule of plain stages, halving
     the regularization from the cost scale down to `reg` and carrying the
     dual potentials across levels, which keeps small `reg` values from
@@ -563,17 +573,19 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000):
     floor = np.sqrt(max(cost.shape) * np.exp(_EXP_FLOOR))
     p1, p2 = np.where(p1 > floor, p1, 0.0), np.where(p2 > floor, p2, 0.0)
     active_cost, ap1, ap2, rows, cols = _reduce_support(cost, p1, p2)
-    active_cost = active_cost - min(active_cost.min(), 0.0)
+    if active_cost.min() < 0.0:
+        active_cost = active_cost - active_cost.min()
     log_p1 = np.log(ap1)
     log_p2 = np.log(ap2)
     f = np.zeros(ap1.size)
     g = np.zeros(ap2.size)
 
-    near_scale = active_cost.max() <= _ONE_STAGE_SCALE * reg
-    omega = _OMEGA if near_scale else 1.0
+    top = float(active_cost.max())
+    near_scale = top <= _ONE_STAGE_SCALE * reg
+    omega = 2.0 / (1.0 + np.sqrt(reg / max(top, reg))) if near_scale else 1.0
     schedule = []
     if not near_scale:
-        level = float(active_cost.max())
+        level = top
         while level > reg * 2.0:
             schedule.append(level)
             level /= 2.0

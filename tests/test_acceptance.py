@@ -7,6 +7,7 @@ acceptance report. Tolerances and budgets are part of the assertions.
 import time
 
 import numpy as np
+import pytest
 
 from iwot import ot, reference
 from iwot.data import LabelSplit, ShiftSpec, generate_pair
@@ -76,6 +77,7 @@ class TestSolverOracles:
             "max gap %.2e" % max_gap,
         )
 
+    @pytest.mark.slow
     def test_criterion_3_entropic_fidelity(self):
         max_marginal = 0.0
         max_obj_gap = 0.0
@@ -261,6 +263,7 @@ MODERATE_SHIFT = ShiftSpec(rotation=0.5, translation=(0.5,), noise_std=0.3)
 
 
 class TestTrainedBehavior:
+    @pytest.mark.slow
     def test_criterion_7_weight_separation(self):
         split = LabelSplit(4, 3, 0)
         aucs, ordered, worst_time = [], True, 0.0
@@ -312,6 +315,7 @@ class TestTrainedBehavior:
             "%d/5 seeds, smallest margin %.3e" % (ok_count, margin),
         )
 
+    @pytest.mark.slow
     def test_criterion_9_adaptation_benefit(self):
         # the rotation damages the two common classes most; the raised
         # separation coefficient keeps cluster matching from flipping
@@ -339,6 +343,7 @@ class TestTrainedBehavior:
             % (mean_benefit, ", ".join("%+.1f" % b for b in benefits), elapsed),
         )
 
+    @pytest.mark.slow
     def test_criterion_10_open_set_h_score(self):
         split = LabelSplit(3, 0, 2)
         scores = []

@@ -126,10 +126,13 @@ def sa_loss(coupling, partial, cost):
 def iot_loss(features, marginal, **solve):
     """Within-domain transport from the learned-weight marginal to uniform.
 
-    The cost is cosine dissimilarity of the batch against itself; the value is
-    zero exactly when the learned marginal is already uniform (mass can stay
-    on the diagonal) and grows as weight concentrates. `solve` is as for
-    wot_loss.
+    The cost is cosine dissimilarity of the batch against itself, and the
+    value grows as weight concentrates. With the exact solver it is zero
+    exactly when the learned marginal is already uniform (mass can stay on
+    the diagonal). With the entropic solver it is not, because the plan
+    spreads mass off the diagonal: at reg 0.05 it measured 0.032-0.035 at
+    uniform weights on 64-point PDA training batches, a third to two fifths
+    of its value at the learned weights. `solve` is as for wot_loss.
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]

@@ -28,7 +28,9 @@ cosine costs at reg 0.05, it runs one stage at that regularization,
 over-relaxed by 2 / (1 + sqrt(reg / max C)) after its first iteration and
 plain from the first check at which the marginal error rises. A sharper
 regularization is reached through a geometric schedule of plain stages, each
-warm-started from the last, so that it stays cheap; where the kernel would
+warm-started from the last one's potentials in cost units (its level-scaled
+ones times the ratio of the two levels), so that it stays cheap; where the
+kernel would
 underflow, as at the last levels of a reg around 1e-3, a stage starts with one
 log-sum-exp iteration that re-centres the potentials, after which the
 underflowing entries are truncated to zero. Atoms with zero mass (for
@@ -464,8 +466,12 @@ def _sinkhorn_stage(kernel, log_p1, log_p2, f, g, tol, max_iter, omega):
     full iteration the absorbed exponents are the log of the plan: for a
     nonnegative cost all are <= 0, and each row's largest is
     >= log(p1_i * min p2 / n), so truncating those below _EXP_FLOOR empties
-    no row. This holds at every re-absorption, and the next stage (level / 2)
-    starts from log(plan) - cost/level <= 0, so nothing else is tested.
+    no row. This holds at every re-absorption. The next stage, at level / r
+    (r is 2, or 2 to 4 on the last step to reg), receives r f and r g, the
+    same potentials in cost units, so it starts from r log(plan) <= 0; a row
+    whose largest exponent falls below _EXP_FLOOR there puts absorbed.min()
+    below _RECENTRE_BELOW, so that stage starts with the re-centring
+    iteration, and nothing else is tested.
     Returns the potentials, the iteration count and the last error.
     """
     m = log_p1.size
@@ -546,17 +552,21 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000):
     weight 2 / (1 + sqrt(reg / max(C.max(), reg))), 1 for a cost within `reg`.
     Otherwise the solver walks a geometric schedule of plain stages, halving
     the regularization from the cost scale down to `reg` and carrying the
-    dual potentials across levels, which keeps small `reg` values from
-    needing tens of thousands of iterations. Every stage is one scaling loop
-    on the kernel with the potentials absorbed, after one log-domain
-    re-centring iteration where that kernel would underflow (see
+    dual potentials across levels in cost units (each stage starts from the
+    level-scaled potentials the last one returned times the ratio of the two
+    levels: 2, and 2 to 4 on the last step to `reg`), which keeps small `reg`
+    values from needing tens of thousands of iterations. Every stage is
+    one scaling loop on the kernel with the potentials absorbed, after one
+    log-domain re-centring iteration where that kernel would underflow (see
     `_sinkhorn_stage`). The returned plan is projected onto the coupling
     polytope, so its marginals hold to machine precision wherever the
     iteration stopped; `marginal_error` reports the finite pre-projection
     dual residual and `converged` whether it reached `tol` (nonnegative and
-    finite) within the budget. A tiny `reg` underflows whole kernel rows; the
-    schedule stops at the first stage that leaves a potential non-finite, and
-    the non-finite plan raises NumericalError.
+    finite) within the budget. Below the shifted cost's largest entry times
+    the machine epsilon the kernel exponents are spaced more than 1 apart, so
+    no plan can be formed: the schedule stops before its first level there.
+    That, and a non-finite plan (a stage that leaves a potential non-finite
+    also ends the schedule), raise NumericalError.
 
     Atoms of mass at most sqrt(max(m, n) e^_EXP_FLOOR), about 1e-153, come back
     as zero rows or columns: the truncated kernel keeps row i only while
@@ -593,16 +603,27 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000):
 
     total_iterations = 0
     error = np.inf
-    # A reg so small that whole kernel rows underflow divides by zero; the
-    # resulting non-finite plan is reported below as a NumericalError.
+    # A stage that empties a kernel row divides by zero; the resulting
+    # non-finite plan is reported below as a NumericalError.
+    previous = schedule[0]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for stage_index, level in enumerate(schedule):
+            if level < top * np.finfo(float).eps:
+                # Exponents -cost/level here are spaced more than 1 apart, so
+                # no plan can be formed at this level or any sharper one.
+                raise NumericalError("entropic solver produced non-finite plan entries")
             last = stage_index == len(schedule) - 1
             stage_tol = tol if last else max(tol, 1e-3)
             stage_budget = max_iter if last else min(max_iter, 200)
+            # The potentials carry over in cost units: the level-scaled ones
+            # times previous / level, which is 2 but on the last step to reg
+            # (the first stage starts from zeros).
+            carry = previous / level
             f, g, used, error = _sinkhorn_stage(
-                -active_cost / level, log_p1, log_p2, f, g, stage_tol, stage_budget, omega
+                -active_cost / level, log_p1, log_p2, carry * f, carry * g, stage_tol,
+                stage_budget, omega,
             )
+            previous = level
             total_iterations += used
             if not (np.isfinite(f).all() and np.isfinite(g).all()):
                 break

@@ -1,6 +1,7 @@
 """Transport solvers: cost construction, exact/entropic solves, oracle agreement."""
 
 import functools
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -1138,6 +1139,96 @@ class TestSinkhornStages:
             assert ((deficit > 708.0) & (deficit < 745.0)).any()
             plain = np.log(np.exp(matrix - peak).sum(axis=axis)) + peak.squeeze(axis)
             assert_allclose(ot._lse(matrix, axis), plain, rtol=1e-15, atol=0.0)
+
+
+def tiny_mass_marginal(rng, n):
+    """A random marginal with one atom of 10^U(-140, -100), or of 1e-300."""
+    p = random_marginal(rng, n)
+    p[rng.integers(n)] = 1e-300 if rng.random() < 0.25 else 10.0 ** rng.uniform(-140.0, -100.0)
+    return p / p.sum()
+
+
+def tied_marginal(rng, n):
+    """Masses of one or two equal units, normalized, so that atoms tie."""
+    units = rng.integers(1, 3, n).astype(float)
+    return units / units.sum()
+
+
+def zero_holding_marginal(rng, n):
+    """A random marginal with zero mass on a random proper subset of its atoms."""
+    p = random_marginal(rng, n)
+    p[rng.permutation(n)[: rng.integers(n)]] = 0.0
+    return p / p.sum()
+
+
+SWEEP_MARGINALS = {
+    "uniform": lambda rng, n: np.full(n, 1.0 / n),
+    "random": random_marginal,
+    "zero-holding": zero_holding_marginal,
+    "one-hot": lambda rng, n: np.eye(n)[rng.integers(n)],
+    "tied": tied_marginal,
+    "tiny-mass": tiny_mass_marginal,
+}
+SWEEP_COSTS = {
+    "uniform": lambda rng, m, n: rng.uniform(0.0, 2.0, (m, n)),
+    "constant": lambda rng, m, n: np.full((m, n), rng.uniform(0.0, 2.0)),
+    "integer-tie": lambda rng, m, n: rng.integers(0, 3, (m, n)).astype(float),
+    "negative": lambda rng, m, n: rng.uniform(-2.0, 1.0, (m, n)),
+    "cosine": lambda rng, m, n: cosine_cost(rng.normal(size=(m, 4)), rng.normal(size=(n, 4))),
+}
+SWEEP_SOLVERS = {
+    "exact": solve_exact,
+    "sinkhorn-0.05": functools.partial(solve_sinkhorn, reg=0.05),
+    "sinkhorn-1e-3": functools.partial(solve_sinkhorn, reg=1e-3),
+}
+
+
+def contract_violations(name, cost, p1, p2):
+    """How one solve breaks the solvers' contract, as a list of strings: its
+    plan must be nonnegative and on both marginals, and for the exact solver
+    no costlier than `linprog_plan`'s. The solvers document exceptions only
+    for a failed HiGHS run and, in the entropic solver, for a reg below the
+    cost's largest entry times the machine epsilon; neither is a cause these
+    inputs can give, so any exception breaks the contract."""
+    try:
+        result = SWEEP_SOLVERS[name](cost, p1, p2)
+    except Exception as exc:
+        return ["%s: %s" % (type(exc).__name__, exc)]
+    plan = getattr(result, "coupling", result)
+    if plan.shape != cost.shape or not np.isfinite(plan).all() or (plan < 0.0).any():
+        return ["plan is not a finite nonnegative %dx%d matrix" % cost.shape]
+    problems = []
+    report = validate_coupling(plan, p1, p2, tol=1e-12)
+    if not report.passed:
+        problems.append("off its marginals: %r" % report)
+    if name == "exact":
+        excess = coupling_cost(plan, cost) - coupling_cost(linprog_plan(cost, p1, p2), cost)
+        if excess > 1e-10:
+            problems.append("costs %.3g more than linprog's plan" % excess)
+    elif not np.isfinite(result.marginal_error) or result.converged != (
+        result.marginal_error <= 1e-6
+    ):
+        problems.append("error %r, converged %r" % (result.marginal_error, result.converged))
+    return problems
+
+
+def test_solver_contract_sweep():
+    # Every cost kind against every pair of marginal kinds, twice, at seeded
+    # shapes of 1 to 11 atoms per side; each case lists what it breaks.
+    rng = np.random.default_rng(60)
+    problems = []
+    for cost_kind, kind1, kind2, _ in itertools.product(
+        SWEEP_COSTS, SWEEP_MARGINALS, SWEEP_MARGINALS, range(2)
+    ):
+        m, n = rng.integers(1, 12, 2)
+        cost = SWEEP_COSTS[cost_kind](rng, m, n)
+        p1, p2 = SWEEP_MARGINALS[kind1](rng, m), SWEEP_MARGINALS[kind2](rng, n)
+        for name in SWEEP_SOLVERS:
+            label = "%s, %s cost, %s x %s marginals, %dx%d: " % (
+                name, cost_kind, kind1, kind2, m, n
+            )
+            problems += [label + problem for problem in contract_violations(name, cost, p1, p2)]
+    assert problems == []
 
 
 class TestCouplingCost:

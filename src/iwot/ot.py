@@ -23,16 +23,15 @@ marginals hold to round-off on this path too.
 `solve_sinkhorn` is an entropic solver written here directly: each stage is
 one loop of stabilized scaling (Schmitzer 2019), matrix-vector scalings of a
 kernel with the dual potentials absorbed, rebuilt when the scalings leave
-their bounds. Where the cost is within 64 times the regularization, as for
-cosine costs at reg 0.05, it runs one stage at that regularization,
-over-relaxed by 2 / (1 + sqrt(reg / max C)) after its first iteration and
-plain from the first check at which the marginal error rises. A sharper
-regularization is reached through a geometric schedule of plain stages, each
-warm-started from the last one's potentials in cost units (its level-scaled
-ones times the ratio of the two levels), so that it stays cheap; where the
-kernel would
-underflow, as at the last levels of a reg around 1e-3, a stage starts with one
-log-sum-exp iteration that re-centres the potentials, after which the
+their bounds; the potentials are in cost units throughout. Where the cost is
+within 64 times the regularization, as for cosine costs at reg 0.05, it runs
+one stage at that regularization, over-relaxed by 2 / (1 + sqrt(reg / max C))
+after its first iteration and plain from the first check at which the
+marginal error rises. A sharper regularization is reached through a
+geometric schedule of plain stages, each warm-started from the last one's
+potentials, so that it stays cheap; where the kernel would underflow, as at
+the last levels of a reg around 1e-3, a stage first shifts the potentials by
+each row's and then each column's largest exponent, after which the
 underflowing entries are truncated to zero. Atoms with zero mass (for
 Sinkhorn, also those too light for the truncated kernel) are removed first
 and restored as zero rows/columns.
@@ -232,12 +231,12 @@ def _shortlist(cost, p1, p2):
     and of the spanning tree among them that its first pass starts from.
 
     Each row's and each column's _SHORTLIST arcs of least reduced cost
-    c_ij - eps f_i - eps g_j (all of them on a shorter side), with f, g from
+    c_ij - f_i - g_j (all of them on a shorter side), with f, g from
     `_sinkhorn_stage` over the eps-scaling schedule _RANK_SCHEDULE, from the
     cost range / 40 down to the range / 320 (0.00625 on cosine costs; eps is 1
     on a constant cost), each level warm-started from the last one's
-    potentials times 2, on masses floored as in `solve_sinkhorn` so that no
-    kernel row empties; plus the north-west-corner staircase of m + n - 1
+    potentials, on masses floored as in `solve_sinkhorn` so that no kernel row
+    empties; plus the north-west-corner staircase of m + n - 1
     arcs from (0, 0) to (m-1, n-1), which carries a feasible plan: it steps
     down where a row's cumulative mass runs out before the column's, and
     right otherwise. The staircase joins every row and column, so Kruskal's
@@ -246,13 +245,13 @@ def _shortlist(cost, p1, p2):
     """
     m, n = cost.shape
     floor = np.sqrt(max(m, n) * np.exp(_EXP_FLOOR))  # as in solve_sinkhorn
-    log_p1, log_p2 = np.log(np.maximum(p1, floor)), np.log(np.maximum(p2, floor))
+    floored = np.maximum(p1, floor), np.maximum(p2, floor)
     f, g = np.zeros(m), np.zeros(n)
-    gaps, spread = cost.min() - cost, np.ptp(cost)
+    shifted, spread = cost - cost.min(), np.ptp(cost)
     for iterations, scale in _RANK_SCHEDULE:
-        kernel = gaps / (spread / scale or 1.0)
-        f, g, _, _ = _sinkhorn_stage(kernel, log_p1, log_p2, 2.0 * f, 2.0 * g, 0.0, iterations, 1.0)
-    reduced = -(kernel + f[:, None] + g)  # the reduced cost over eps
+        eps = spread / scale or 1.0
+        f, g, _, _ = _sinkhorn_stage(shifted, eps, *floored, f, g, 0.0, iterations, 1.0)
+    reduced = shifted - f[:, None] - g
     listed = np.zeros((m, n), dtype=bool)
     k_row, k_col = min(_SHORTLIST, n), min(_SHORTLIST, m)
     np.put_along_axis(listed, np.argpartition(reduced, k_row - 1, axis=1)[:, :k_row], True, axis=1)
@@ -399,7 +398,13 @@ def solve_exact(cost, p1, p2):
 
 @dataclass
 class SinkhornResult:
-    """Entropic solver output: the plan plus convergence diagnostics."""
+    """Entropic solver output: the plan plus convergence diagnostics.
+
+    `iterations` is the number of scaling passes summed over all stages
+    (perfbench reports it as `iters_total`); `marginal_error` is the largest
+    marginal residual before the projection, at the last stage's last check;
+    `converged` says whether that residual is at most `tol`.
+    """
 
     coupling: np.ndarray
     converged: bool
@@ -407,13 +412,12 @@ class SinkhornResult:
     marginal_error: float
 
 
-# np.exp of an argument below this is a subnormal double, which is slow. In
-# `_lse` such a term (after the peak shift) is below half an ulp of the sum;
-# in a scaling kernel it becomes an exact zero, the kernel truncation of
+# np.exp of an argument below this is a subnormal double, which is slow; in
+# a scaling kernel it becomes an exact zero, the kernel truncation of
 # stabilized scaling (Schmitzer 2019).
 _EXP_FLOOR = -708.0
-# A stage re-centres its potentials first if an absorbed exponent starts below
-# this; the margin above _EXP_FLOOR covers scalings up to _SCALING_BOUND.
+# A stage re-centres its potentials first if an exponent starts below this;
+# the margin above _EXP_FLOOR covers scalings up to _SCALING_BOUND.
 _RECENTRE_BELOW = -600.0
 _SCALING_BOUND = 1e50
 # A cost whose largest entry is at most this many times reg is solved in one
@@ -429,17 +433,6 @@ _ONE_STAGE_SCALE = 64.0
 _CHECK_EVERY = 5
 
 
-def _lse(matrix, axis):
-    # logsumexp along `axis`, hand-rolled: scipy's version dominates runtime
-    # at mini-batch sizes through per-call overhead.
-    peak = matrix.max(axis=axis, keepdims=True)
-    shifted = matrix - peak
-    np.putmask(shifted, shifted < _EXP_FLOOR, -np.inf)
-    out = np.log(np.exp(shifted, out=shifted).sum(axis=axis))
-    out += peak.squeeze(axis)
-    return out
-
-
 def _absorbed_kernel(absorbed):
     """exp(absorbed) in place, exponents below _EXP_FLOOR truncated to zero."""
     if absorbed.min() < _EXP_FLOOR:
@@ -447,43 +440,36 @@ def _absorbed_kernel(absorbed):
     return np.exp(absorbed, out=absorbed)
 
 
-def _sinkhorn_stage(kernel, log_p1, log_p2, f, g, tol, max_iter, omega):
-    """Sinkhorn iterations at one regularization level (kernel = -cost/level).
+def _sinkhorn_stage(cost, level, p1, p2, f, g, tol, max_iter, omega):
+    """Sinkhorn iterations at one regularization level on a nonnegative cost.
 
-    One loop serves every level: matrix-vector scalings of K = exp(kernel +
-    f + g), the kernel with the potentials absorbed, so no exp runs inside
-    it. The potentials are f + log u and g + log v from u = v = 1, and the
-    plan is u K v. The first pass is plain, u = p1 / (K v), v = p2 / (K^T u);
-    every later one is over-relaxed, u = u^(1 - omega) (p1 / (K v))^omega and
-    likewise v (omega 1 is the plain pass). The marginal error is checked
-    every _CHECK_EVERY iterations and when the budget runs out; once it rises
-    from one check to the next, omega is 1 for the rest of the stage. When u
-    or v has left [1/_SCALING_BOUND, _SCALING_BOUND] at a check, they are
-    absorbed into f and g and K is rebuilt.
+    One loop serves every level: matrix-vector scalings of K = exp((f + g -
+    cost) / level), the kernel with the potentials (in cost units) absorbed,
+    so no exp runs inside it. The potentials are f + level log u and g +
+    level log v from u = v = 1, and the plan is u K v. The first pass is plain,
+    u = p1 / (K v), v = p2 / (K^T u); every later one is over-relaxed,
+    u = u^(1 - omega) (p1 / (K v))^omega and likewise v (omega 1 is the plain
+    pass). The marginal error is checked every _CHECK_EVERY passes and when
+    the budget runs out; once it rises from one check to the next, omega is 1
+    for the rest of the stage. When u or v has left [1/_SCALING_BOUND,
+    _SCALING_BOUND] at a check, they are absorbed into f and g and K is
+    rebuilt.
 
-    If an absorbed exponent starts below _RECENTRE_BELOW, the first iteration
-    is instead one log-domain update, which re-centres f and g. After any
-    full iteration the absorbed exponents are the log of the plan: for a
-    nonnegative cost all are <= 0, and each row's largest is
-    >= log(p1_i * min p2 / n), so truncating those below _EXP_FLOOR empties
-    no row. This holds at every re-absorption. The next stage, at level / r
-    (r is 2, or 2 to 4 on the last step to reg), receives r f and r g, the
-    same potentials in cost units, so it starts from r log(plan) <= 0; a row
-    whose largest exponent falls below _EXP_FLOOR there puts absorbed.min()
-    below _RECENTRE_BELOW, so that stage starts with the re-centring
-    iteration, and nothing else is tested.
-    Returns the potentials, the iteration count and the last error.
+    If an exponent starts below _RECENTRE_BELOW, f first drops by level times
+    each row's largest exponent, then g by level times each column's: every
+    row and column then holds an exponent of 0 (to round-off), so truncation
+    empties none.
+    Returns the potentials, the number of scaling passes and the last error.
     """
-    m = log_p1.size
-    marginals = np.exp(np.concatenate([log_p1, log_p2]))
-    p1, p2 = marginals[:m], marginals[m:]
-    absorbed = kernel + f[:, None] + g[None, :]
-    iterations = 0
+    m = p1.size
+    marginals = np.concatenate([p1, p2])
+    absorbed = (f[:, None] + g - cost) / level
     if absorbed.min() < _RECENTRE_BELOW:
-        f = log_p1 - _lse(kernel + g[None, :], 1)
-        g = log_p2 - _lse(kernel + f[:, None], 0)
-        absorbed = kernel + f[:, None] + g[None, :]
-        iterations = 1
+        f = f - level * absorbed.max(axis=1)
+        absorbed = (f[:, None] + g - cost) / level
+        g = g - level * absorbed.max(axis=0)
+        absorbed = (f[:, None] + g - cost) / level
+    iterations = 0
     error = np.inf
     # u and v share one buffer, as do their residuals: one reduction per bound.
     residual = np.empty(marginals.size)
@@ -492,10 +478,8 @@ def _sinkhorn_stage(kernel, log_p1, log_p2, f, g, tol, max_iter, omega):
         uv = np.ones(marginals.size)
         u, v = uv[:m], uv[m:]
         kv = scaled.sum(axis=1)
-        # Read only if the re-centring spent the whole budget before any pass.
-        ktu = scaled.sum(axis=0) if iterations == max_iter else None
         while True:
-            for _ in range(min(_CHECK_EVERY - iterations % _CHECK_EVERY, max_iter - iterations)):
+            for _ in range(min(_CHECK_EVERY, max_iter - iterations)):
                 if iterations and omega != 1.0:
                     ratio = p1 / (u * kv)
                     u *= ratio**omega
@@ -515,12 +499,12 @@ def _sinkhorn_stage(kernel, log_p1, log_p2, f, g, tol, max_iter, omega):
             if error > previous:
                 omega = 1.0
             if error <= tol or iterations >= max_iter:
-                return f + np.log(u), g + np.log(v), iterations, error
+                return f + level * np.log(u), g + level * np.log(v), iterations, error
             if uv.max() > _SCALING_BOUND or uv.min() < 1.0 / _SCALING_BOUND:
                 break
-        f = f + np.log(u)
-        g = g + np.log(v)
-        absorbed = kernel + f[:, None] + g[None, :]
+        f = f + level * np.log(u)
+        g = g + level * np.log(v)
+        absorbed = (f[:, None] + g - cost) / level
 
 
 def _round_to_polytope(plan, p1, p2):
@@ -551,13 +535,11 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000):
     `reg` (positive and finite), one stage runs at `reg`, over-relaxed with
     weight 2 / (1 + sqrt(reg / max(C.max(), reg))), 1 for a cost within `reg`.
     Otherwise the solver walks a geometric schedule of plain stages, halving
-    the regularization from the cost scale down to `reg` and carrying the
-    dual potentials across levels in cost units (each stage starts from the
-    level-scaled potentials the last one returned times the ratio of the two
-    levels: 2, and 2 to 4 on the last step to `reg`), which keeps small `reg`
-    values from needing tens of thousands of iterations. Every stage is
-    one scaling loop on the kernel with the potentials absorbed, after one
-    log-domain re-centring iteration where that kernel would underflow (see
+    the regularization from the cost scale down to `reg`, each stage starting
+    from the dual potentials (in cost units) the last one returned, which
+    keeps small `reg` values from needing tens of thousands of iterations.
+    Every stage is one scaling loop on the kernel with the potentials
+    absorbed, re-centred first where that kernel would underflow (see
     `_sinkhorn_stage`). The returned plan is projected onto the coupling
     polytope, so its marginals hold to machine precision wherever the
     iteration stopped; `marginal_error` reports the finite pre-projection
@@ -569,9 +551,10 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000):
     also ends the schedule), raise NumericalError.
 
     Atoms of mass at most sqrt(max(m, n) e^_EXP_FLOOR), about 1e-153, come back
-    as zero rows or columns: the truncated kernel keeps row i only while
-    p1_i * min p2 / n >= e^_EXP_FLOOR (see `_sinkhorn_stage`), and column j
-    likewise, which any two kept atoms satisfy; an emptied row divides by zero.
+    as zero rows or columns: after a full pass the plan's largest entry in row
+    i is at least p1_i * min p2 / n, and the kernel rebuilt from it keeps that
+    entry only while it is at least e^_EXP_FLOOR, and column j likewise, which
+    any two kept atoms satisfy; an emptied row divides by zero.
     """
     cost, p1, p2 = _check_problem(cost, p1, p2)
     if not (np.isfinite(reg) and reg > 0):
@@ -585,8 +568,6 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000):
     active_cost, ap1, ap2, rows, cols = _reduce_support(cost, p1, p2)
     if active_cost.min() < 0.0:
         active_cost = active_cost - active_cost.min()
-    log_p1 = np.log(ap1)
-    log_p2 = np.log(ap2)
     f = np.zeros(ap1.size)
     g = np.zeros(ap2.size)
 
@@ -605,7 +586,6 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000):
     error = np.inf
     # A stage that empties a kernel row divides by zero; the resulting
     # non-finite plan is reported below as a NumericalError.
-    previous = schedule[0]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for stage_index, level in enumerate(schedule):
             if level < top * np.finfo(float).eps:
@@ -615,19 +595,13 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000):
             last = stage_index == len(schedule) - 1
             stage_tol = tol if last else max(tol, 1e-3)
             stage_budget = max_iter if last else min(max_iter, 200)
-            # The potentials carry over in cost units: the level-scaled ones
-            # times previous / level, which is 2 but on the last step to reg
-            # (the first stage starts from zeros).
-            carry = previous / level
             f, g, used, error = _sinkhorn_stage(
-                -active_cost / level, log_p1, log_p2, carry * f, carry * g, stage_tol,
-                stage_budget, omega,
+                active_cost, level, ap1, ap2, f, g, stage_tol, stage_budget, omega
             )
-            previous = level
             total_iterations += used
             if not (np.isfinite(f).all() and np.isfinite(g).all()):
                 break
-        plan = np.exp(-active_cost / schedule[-1] + f[:, None] + g[None, :])
+        plan = np.exp((f[:, None] + g - active_cost) / schedule[-1])
     if not np.isfinite(plan).all():
         raise NumericalError("entropic solver produced non-finite plan entries")
     plan = _round_to_polytope(plan, ap1, ap2)

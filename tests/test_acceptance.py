@@ -77,7 +77,6 @@ class TestSolverOracles:
             "max gap %.2e" % max_gap,
         )
 
-    @pytest.mark.slow
     def test_criterion_3_entropic_fidelity(self):
         max_marginal = 0.0
         max_obj_gap = 0.0

@@ -672,19 +672,18 @@ class TestSolveSinkhorn:
     def test_non_convergence_is_reported_not_raised(self, stage_paths):
         rng = np.random.default_rng(22)
         cost = rng.uniform(0, 2, (6, 6))
-        u = np.full(6, 1.0 / 6)
-        kernel, log_u, zeros = -cost / 1e-4, np.log(u), np.zeros(6)
-        # At level 1e-4 every exponent starts below -600, so the stage's first
-        # iteration re-centres; at max_iter=1 it uses the whole budget, and the
+        u, zeros = np.full(6, 1.0 / 6), np.zeros(6)
+        # At level 1e-4 every exponent starts below -600, so the stage
+        # re-centres first; its whole budget goes to scaling passes, and the
         # residual of its plan is still measured.
         for max_iter in (3, 1):
             stage_paths.clear()
             f, g, iterations, error = ot._sinkhorn_stage(
-                kernel, log_u, log_u, zeros, zeros, 1e-12, max_iter, 1.0
+                cost, 1e-4, u, u, zeros, zeros, 1e-12, max_iter, 1.0
             )
             assert stage_paths == [["recentre", "scaling"]]
             assert iterations == max_iter
-            plan = np.exp(kernel + f[:, None] + g[None, :])
+            plan = np.exp((f[:, None] + g - cost) / 1e-4)
             residual = max(np.abs(plan.sum(axis=1) - u).max(), np.abs(plan.sum(axis=0) - u).max())
             assert 1e-12 < error and np.isfinite(error)
             assert_allclose(error, residual, rtol=1e-9)
@@ -782,9 +781,24 @@ def learned_marginal(rng, n):
     return raw / raw.sum()
 
 
-# Taken before any test can replace them with recording wrappers.
-LSE_ROWS = functools.partial(ot._lse, axis=1)
-LSE_COLS = functools.partial(ot._lse, axis=0)
+def lse(matrix, axis):
+    """log(sum(exp(matrix))) along `axis`, shifted by its peak. Terms below
+    the peak by more than -_EXP_FLOOR are dropped: they are under half an
+    ulp of the sum, and their subnormal exponentials are slow."""
+    peak = matrix.max(axis=axis, keepdims=True)
+    shifted = matrix - peak
+    np.putmask(shifted, shifted < ot._EXP_FLOOR, -np.inf)
+    return np.log(np.exp(shifted).sum(axis=axis)) + peak.squeeze(axis)
+
+
+def recentred(kernel, f, g):
+    """Level-scaled potentials shifted as `_sinkhorn_stage` shifts them when
+    an exponent of kernel + f + g starts below `_RECENTRE_BELOW`: f by each
+    row's largest exponent, then g by each column's."""
+    if (kernel + f[:, None] + g).min() < ot._RECENTRE_BELOW:
+        f = f - (kernel + f[:, None] + g).max(axis=1)
+        g = g - (kernel + f[:, None] + g).max(axis=0)
+    return f, g
 
 
 def log_domain_stage(kernel, log_p1, log_p2, p1, p2, f, g, tol, max_iter, omega=1.0):
@@ -799,12 +813,12 @@ def log_domain_stage(kernel, log_p1, log_p2, p1, p2, f, g, tol, max_iter, omega=
     while iterations < max_iter:
         for _ in range(min(ot._CHECK_EVERY, max_iter - iterations)):
             weight = omega if iterations else 1.0
-            f = (1.0 - weight) * f + weight * (log_p1 - LSE_ROWS(kernel + g[None, :]))
-            g = (1.0 - weight) * g + weight * (log_p2 - LSE_COLS(kernel + f[:, None]))
+            f = (1.0 - weight) * f + weight * (log_p1 - lse(kernel + g[None, :], 1))
+            g = (1.0 - weight) * g + weight * (log_p2 - lse(kernel + f[:, None], 0))
             iterations += 1
         log_plan = kernel + f[:, None] + g[None, :]
-        row_err = np.abs(np.exp(LSE_ROWS(log_plan)) - p1).max()
-        col_err = np.abs(np.exp(LSE_COLS(log_plan)) - p2).max()
+        row_err = np.abs(np.exp(lse(log_plan, 1)) - p1).max()
+        col_err = np.abs(np.exp(lse(log_plan, 0)) - p2).max()
         if max(row_err, col_err) > error:
             omega = 1.0
         error = max(row_err, col_err)
@@ -854,57 +868,56 @@ def tight_reference(cost, p1, p2, reg, tol=1e-12, max_steps=200):
 
 @pytest.fixture()
 def stage_paths(monkeypatch):
-    """Per `_sinkhorn_stage` call, what it ran, in order: "recentre" for the
-    log-domain re-centring iteration (its row log-sum-exp), "scaling" for each
-    kernel build of the scaling loop."""
+    """Per `_sinkhorn_stage` call, what it ran, in order: "recentre" if an
+    exponent (f + g - cost) / level starts below `_RECENTRE_BELOW`, which
+    makes the stage re-centre its potentials, then "scaling" for each kernel
+    build of the scaling loop."""
     stages = []
-    real_stage, real_kernel, real_lse = ot._sinkhorn_stage, ot._absorbed_kernel, ot._lse
+    real_stage, real_kernel = ot._sinkhorn_stage, ot._absorbed_kernel
 
-    def stage(*args, **kwargs):
-        stages.append([])
-        return real_stage(*args, **kwargs)
+    def stage(cost, level, p1, p2, f, g, *args):
+        low = ((f[:, None] + g - cost) / level).min() < ot._RECENTRE_BELOW
+        stages.append(["recentre"] if low else [])
+        return real_stage(cost, level, p1, p2, f, g, *args)
 
     def kernel(absorbed):
         stages[-1].append("scaling")
         return real_kernel(absorbed)
 
-    def lse(matrix, axis):
-        if axis == 1:
-            stages[-1].append("recentre")
-        return real_lse(matrix, axis)
-
     monkeypatch.setattr(ot, "_sinkhorn_stage", stage)
     monkeypatch.setattr(ot, "_absorbed_kernel", kernel)
-    monkeypatch.setattr(ot, "_lse", lse)
     return stages
 
 
 class TestSinkhornStages:
     def compare_with_log_domain(self, cost, p1, p2, levels, tol=1e-6, max_iter=1000, omega=1.0):
         """Run every stage by `_sinkhorn_stage` and by the log-domain reference
-        from the same potentials; return the largest differences and the
-        reference's last omega."""
+        from the same potentials, re-centred as the stage re-centres them;
+        return the largest differences of the level-scaled potentials (those
+        in cost units over the level) and of the plans, and the reference's
+        last omega."""
         log_p1, log_p2 = np.log(p1), np.log(p2)
-        f, g = np.zeros(p1.size), np.zeros(p2.size)
+        f, g = np.zeros(p1.size), np.zeros(p2.size)  # in cost units
         worst_potential = worst_plan = 0.0
         for index, level in enumerate(levels):
             last = index == len(levels) - 1
             stage_tol = tol if last else max(tol, 1e-3)
             budget = max_iter if last else min(max_iter, 200)
             kernel = -cost / level
-            ref = log_domain_stage(kernel, log_p1, log_p2, p1, p2, f, g, stage_tol, budget, omega)
-            got = ot._sinkhorn_stage(kernel, log_p1, log_p2, f, g, stage_tol, budget, omega)
+            start = recentred(kernel, f / level, g / level)
+            ref = log_domain_stage(kernel, log_p1, log_p2, p1, p2, *start, stage_tol, budget, omega)
+            got = ot._sinkhorn_stage(cost, level, p1, p2, f, g, stage_tol, budget, omega)
             assert got[2] == ref[2], "iteration counts differ at level %g" % level
             assert (got[3] <= stage_tol) == (ref[3] <= stage_tol)
             worst_potential = max(
-                worst_potential, np.abs(got[0] - ref[0]).max(), np.abs(got[1] - ref[1]).max()
+                worst_potential,
+                np.abs(got[0] / level - ref[0]).max(),
+                np.abs(got[1] / level - ref[1]).max(),
             )
             plan_ref = np.exp(kernel + ref[0][:, None] + ref[1][None, :])
-            plan_got = np.exp(kernel + got[0][:, None] + got[1][None, :])
+            plan_got = np.exp((got[0][:, None] + got[1] - cost) / level)
             worst_plan = max(worst_plan, np.abs(plan_got - plan_ref).max())
-            if not last:  # carried in cost units to the next level, as the solver does
-                carry = level / levels[index + 1]
-                f, g = carry * ref[0], carry * ref[1]
+            f, g = level * ref[0], level * ref[1]  # on to the next level unchanged
         return worst_potential, worst_plan, ref[4]
 
     def test_scaling_matches_log_domain_at_training_reg(self, stage_paths):
@@ -932,9 +945,9 @@ class TestSinkhornStages:
         calls = []
         real_stage = ot._sinkhorn_stage
 
-        def stage(kernel, *args):
-            calls.append((kernel.min(), args[-1]))
-            return real_stage(kernel, *args)
+        def stage(cost, level, *args):
+            calls.append((level, args[-1]))
+            return real_stage(cost, level, *args)
 
         monkeypatch.setattr(ot, "_sinkhorn_stage", stage)
         rng = np.random.default_rng(34)
@@ -944,36 +957,32 @@ class TestSinkhornStages:
             cost = base * (top / base.max())
             calls.clear()
             solve_sinkhorn(cost, p1, p2, reg=reg)
-            levels = [-top / kernel_min for kernel_min, _ in calls]
-            assert_allclose(levels, anneal_levels(cost, reg), rtol=1e-12)
+            levels = [level for level, _ in calls]
+            assert levels == anneal_levels(cost, reg)
             near_scale = top <= ot._ONE_STAGE_SCALE * reg
             omega = 2.0 / (1.0 + np.sqrt(reg / cost.max())) if near_scale else 1.0
             assert [stage_omega for _, stage_omega in calls] == [omega] * len(levels)
 
     def test_annealed_stages_start_from_potentials_in_cost_units(self, monkeypatch):
-        # The potentials carry across levels in cost units: each stage receives
-        # the level-scaled f, g the last one returned times the ratio of the
-        # two levels, exactly 2 between halvings and 2 to 4 on the last step.
+        # The potentials are in cost units at every level, so each stage
+        # receives the f, g the last one returned, unchanged; the first one
+        # starts from zeros.
         calls = []
         real_stage = ot._sinkhorn_stage
 
-        def stage(*args):
-            result = real_stage(*args)
-            calls.append((args[3], args[4], result[0], result[1]))
+        def stage(cost, level, p1, p2, f, g, *args):
+            result = real_stage(cost, level, p1, p2, f, g, *args)
+            calls.append((level, f, g, result[0], result[1]))
             return result
 
         monkeypatch.setattr(ot, "_sinkhorn_stage", stage)
         rng = np.random.default_rng(39)
         cost = cosine_cost(rng.normal(size=(24, 8)), rng.normal(size=(20, 8)))
         solve_sinkhorn(cost, learned_marginal(rng, 24), learned_marginal(rng, 20), reg=1e-3)
-        levels = anneal_levels(cost, 1e-3)
-        assert len(calls) == len(levels) > 2
-        assert not calls[0][0].any() and not calls[0][1].any()
-        ratios = [a / b for a, b in zip(levels, levels[1:])]
-        assert ratios[:-1] == [2.0] * (len(ratios) - 1) and 2.0 < ratios[-1] <= 4.0
-        for previous, current, ratio in zip(calls, calls[1:], ratios):
-            assert (current[0] == ratio * previous[2]).all()
-            assert (current[1] == ratio * previous[3]).all()
+        assert [call[0] for call in calls] == anneal_levels(cost, 1e-3)
+        assert len(calls) > 2 and not calls[0][1].any() and not calls[0][2].any()
+        for previous, current in zip(calls, calls[1:]):
+            assert (current[1] == previous[3]).all() and (current[2] == previous[4]).all()
 
     def test_sharp_reg_values_near_tight_reference(self):
         # Uniform 64x64 cosine problems at reg 1e-3 with the default budget:
@@ -1022,12 +1031,11 @@ class TestSinkhornStages:
             p1, p2 = learned_marginal(rng, 64), np.full(64, 1.0 / 64)
             result = solve_sinkhorn(cost, p1, p2, reg=0.05)
             assert result.converged
-            kernel = -cost / 0.05
             f, g, _, error = ot._sinkhorn_stage(
-                kernel, np.log(p1), np.log(p2), np.zeros(64), np.zeros(64), 1e-12, 100000, 1.0
+                cost, 0.05, p1, p2, np.zeros(64), np.zeros(64), 1e-12, 100000, 1.0
             )
             assert error <= 1e-12
-            reference = coupling_cost(np.exp(kernel + f[:, None] + g[None, :]), cost)
+            reference = coupling_cost(np.exp((f[:, None] + g - cost) / 0.05), cost)
             assert abs(coupling_cost(result.coupling, cost) - reference) <= 1e-4
 
     @pytest.mark.parametrize("kind", ["zero", "constant", "below_reg"])
@@ -1076,7 +1084,7 @@ class TestSinkhornStages:
                 p1, p2 = learned_marginal(rng, 64), np.full(64, 1.0 / 64)
                 over_relaxed += solve_sinkhorn(cost, p1, p2, reg=0.05).iterations
                 plain += ot._sinkhorn_stage(
-                    -cost / 0.05, np.log(p1), np.log(p2), np.zeros(64), np.zeros(64), 1e-6, 1000, 1.0
+                    cost, 0.05, p1, p2, np.zeros(64), np.zeros(64), 1e-6, 1000, 1.0
                 )[2]
         assert over_relaxed <= 0.3 * plain
 
@@ -1105,7 +1113,7 @@ class TestSinkhornStages:
     def test_small_reg_stages_run_only_scaling_iterations(self, stage_paths):
         # At reg 1e-3 the last annealing stages, and an unannealed stage whose
         # cost row is >= 0.7 everywhere (every exponent in it starting below
-        # -700), begin with one re-centring iteration; everything else is the
+        # -700), re-centre their potentials first; everything else is the
         # scaling loop, with the reference's iteration counts and plans.
         rng = np.random.default_rng(32)
         hot_row = rng.uniform(0.0, 2.0, (6, 6))
@@ -1127,18 +1135,39 @@ class TestSinkhornStages:
                 assert runs and set(runs) == {"scaling"}
             assert stage_paths[-1][0] == "recentre"
 
-    def test_lse_flush_leaves_sums_unchanged(self):
-        # Entries 708-745 below their row/column peak have subnormal or zero
-        # exponentials; the flushed helpers must match the plain formula.
+    def test_recentring_puts_an_exponent_of_zero_in_every_row_and_column(self, monkeypatch):
+        # A stage whose exponents start below _RECENTRE_BELOW shifts f by each
+        # row's largest and then g by each column's, so the first kernel it
+        # builds has a largest exponent of 0 in every row and column: at
+        # level 1e-4 from zero potentials, and in every re-centred stage of an
+        # annealed solve with an atom of ~1e-107 at reg 1e-3.
+        starts = []  # per stage: [whether it re-centres, the exponents of each build]
+        real_stage, real_kernel = ot._sinkhorn_stage, ot._absorbed_kernel
+
+        def stage(cost, level, p1, p2, f, g, *args):
+            starts.append([((f[:, None] + g - cost) / level).min() < ot._RECENTRE_BELOW])
+            return real_stage(cost, level, p1, p2, f, g, *args)
+
+        def kernel(absorbed):
+            starts[-1].append(absorbed.copy())
+            return real_kernel(absorbed)
+
+        monkeypatch.setattr(ot, "_sinkhorn_stage", stage)
+        monkeypatch.setattr(ot, "_absorbed_kernel", kernel)
+        rng = np.random.default_rng(22)
+        cost = rng.uniform(0, 2, (6, 6))
+        u, zeros = np.full(6, 1.0 / 6), np.zeros(6)
+        ot._sinkhorn_stage(cost, 1e-4, u, u, zeros, zeros, 1e-12, 5, 1.0)
+        assert len(starts) == 1 and starts[0][0]
         rng = np.random.default_rng(33)
-        matrix = rng.uniform(-40.0, 5.0, (40, 30))
-        matrix[rng.random((40, 30)) < 0.5] -= 705.0
-        for axis in (1, 0):
-            peak = matrix.max(axis=axis, keepdims=True)
-            deficit = peak - matrix
-            assert ((deficit > 708.0) & (deficit < 745.0)).any()
-            plain = np.log(np.exp(matrix - peak).sum(axis=axis)) + peak.squeeze(axis)
-            assert_allclose(ot._lse(matrix, axis), plain, rtol=1e-15, atol=0.0)
+        cost = cosine_cost(rng.normal(size=(2, 8)), rng.normal(size=(8, 8)))
+        light = np.array([10.0 ** rng.uniform(-140.0, -100.0), 1.0])
+        solve_sinkhorn(cost, light / light.sum(), np.full(8, 0.125), reg=1e-3)
+        recentred = [builds[1] for builds in starts if builds[0]]
+        assert len(recentred) > 2
+        for exponents in recentred:
+            assert np.abs(exponents.max(axis=1)).max() <= 1e-12
+            assert np.abs(exponents.max(axis=0)).max() <= 1e-12
 
 
 def tiny_mass_marginal(rng, n):

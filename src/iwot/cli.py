@@ -353,6 +353,7 @@ def cmd_ot_check(args):
     max_vertex_gap = 0.0
     max_entropic_gap = 0.0
     max_marginal_err = 0.0
+    converged = 0
     for _ in range(args.instances):
         cost = rng.uniform(0.0, 2.0, size=(n, n))
         exact_plan = ot.solve_exact(cost, uniform, uniform)
@@ -372,6 +373,7 @@ def cmd_ot_check(args):
                 ),
             )
         entropic = ot.solve_sinkhorn(cost, uniform, uniform, reg=args.reg, max_iter=20000)
+        converged += entropic.converged
         max_entropic_gap = max(
             max_entropic_gap, abs(ot.coupling_cost(entropic.coupling, cost) - exact_value)
         )
@@ -396,9 +398,9 @@ def cmd_ot_check(args):
         )
     print(
         "entropic (reg=%g) vs exact: max objective gap %.3e (tol %.1e), "
-        "max marginal error %.3e [%s]"
-        % (args.reg, max_entropic_gap, entropic_tol, max_marginal_err,
-           "OK" if entropic_pass else "FAIL")
+        "max marginal error %.3e, converged %d/%d [%s]"
+        % (args.reg, max_entropic_gap, entropic_tol, max_marginal_err, converged,
+           args.instances, "OK" if entropic_pass else "FAIL")
     )
 
     if args.out is not None:

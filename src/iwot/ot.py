@@ -32,9 +32,9 @@ geometric schedule of plain stages, each warm-started from the last one's
 potentials, so that it stays cheap; where the kernel would underflow, as at
 the last levels of a reg around 1e-3, a stage first shifts the potentials by
 each row's and then each column's largest exponent, after which the
-underflowing entries are truncated to zero. Atoms with zero mass (for
-Sinkhorn, also those too light for the truncated kernel) are removed first
-and restored as zero rows/columns.
+underflowing entries are truncated to zero; its last stage ends in Newton
+steps on the dual. Atoms with zero mass (for Sinkhorn, also those too light
+for the truncated kernel) are removed first and restored as zero rows/columns.
 
 Both compiled solvers, SciPy's assignment module `_lsap` and HiGHS's
 `_highspy._core`, are loaded straight from their extension files under their
@@ -329,9 +329,10 @@ def solve_exact(cost, p1, p2):
     again (cold, if the warm pass ends primal infeasible) until none is left,
     so the plan is optimal for the full LP. HiGHS's primal feasibility
     tolerance is 1e-10, its floor, so the plan holds the marginals to
-    round-off (any negative round-off entry is zeroed). A failed HiGHS run or
-    a model status other than optimal, on any pass, raises NumericalError
-    rather than returning a partial answer.
+    round-off (any negative round-off entry is zeroed). HiGHS fails near cost
+    1e19, so a cost above 2 is first scaled exactly into [0.5, 1). A failed
+    HiGHS run or a model status other than optimal, on any pass, raises
+    NumericalError rather than returning a partial answer.
     """
     cost, p1, p2 = _check_problem(cost, p1, p2)
     active_cost, ap1, ap2, rows, cols = _reduce_support(cost, p1, p2)
@@ -341,6 +342,9 @@ def solve_exact(cost, p1, p2):
         plan = np.zeros((m, n))
         plan[linear_sum_assignment(active_cost)] = mass
         return _restore_support(plan, rows, cols)
+    top = np.abs(active_cost).max()
+    if top > 2.0:
+        active_cost = np.ldexp(active_cost, -np.frexp(top)[1])
     options = highs.HighsOptions()
     options.presolve = "off"  # it finds nothing to remove in a transportation LP
     options.output_flag = False
@@ -401,15 +405,16 @@ class SinkhornResult:
     """Entropic solver output: the plan plus convergence diagnostics.
 
     `iterations` is the number of scaling passes summed over all stages
-    (perfbench reports it as `iters_total`); `marginal_error` is the largest
-    marginal residual before the projection, at the last stage's last check;
-    `converged` says whether that residual is at most `tol`.
+    (perfbench reports it as `iters_total`), `newton_steps` those of the
+    annealed path's Newton finish; `marginal_error` is the largest marginal
+    residual before the projection, and `converged` whether it is within `tol`.
     """
 
     coupling: np.ndarray
     converged: bool
     iterations: int
     marginal_error: float
+    newton_steps: int
 
 
 # np.exp of an argument below this is a subnormal double, which is slow; in
@@ -426,11 +431,12 @@ _SCALING_BOUND = 1e50
 # sqrt(1 - eta)) for a contraction rate eta (Thibault, Chizat, Dossal &
 # Papadakis, "Overrelaxed Sinkhorn-Knopp"; Lehmann, von Renesse, Sambale &
 # Uschmajew, Optim. Lett. 2022), taking 1 - eta as reg / max C; like the best
-# fixed weight on training solves it falls as reg grows. A larger cost keeps
-# the annealed, plain schedule, whose stages mostly run out of budget.
+# fixed weight on training solves it falls as reg grows.
 _ONE_STAGE_SCALE = 64.0
 # A stage checks its marginal error every this many iterations.
 _CHECK_EVERY = 5
+# The annealed last stage's scaling passes before Newton steps, and their cap.
+_NEWTON_AFTER, _NEWTON_STEPS = 50, 30
 
 
 def _absorbed_kernel(absorbed):
@@ -507,6 +513,48 @@ def _sinkhorn_stage(cost, level, p1, p2, f, g, tol, max_iter, omega):
         absorbed = (f[:, None] + g - cost) / level
 
 
+def _newton_direction(plan, p1, p2, ridge):
+    """The Newton step on the entropic dual at `plan`, in units of reg, via the
+    Schur complement on the smaller side (here g's; r = P 1, c = P^T 1):
+    (diag(c + ridge) - P^T diag(1/r) P) dg = p2 - c - P^T ((p1 - r) / r), last
+    dg 0 (the Hessian is singular along (1, -1)), and df = (p1 - r - P dg) / r."""
+    if plan.shape[0] < plan.shape[1]:
+        return _newton_direction(plan.T, p2, p1, ridge)[::-1]
+    rows, cols = plan.sum(axis=1), plan.sum(axis=0)
+    row_step = (p1 - rows) / rows
+    kept = plan[:, :-1]
+    schur = np.diag(cols[:-1] + ridge) - (kept.T / rows) @ kept
+    dg = np.append(np.linalg.solve(schur, (p2 - cols)[:-1] - row_step @ kept), 0.0)
+    return row_step - (plan @ dg) / rows, dg
+
+
+def _newton_finish(cost, reg, p1, p2, f, g, tol):
+    """Up to _NEWTON_STEPS Sinkhorn-Newton steps (Brauer, Clason, Lorenz & Wirth
+    2017) from cost-unit potentials until the marginal error is at most `tol`.
+    Each `_newton_direction` (ridge 1e-4 times the error) is halved, up to 40
+    times, until the dual gain t (df p1 + dg p2) - sum P expm1(t (df_i + dg_j))
+    meets Armijo's rule at 1e-4; a stalled search or a non-finite potential
+    ends it. Returns the last finite potentials, their error and the steps."""
+    for steps in range(_NEWTON_STEPS + 1):
+        plan = _absorbed_kernel((f[:, None] + g - cost) / reg)
+        rows, cols = p1 - plan.sum(axis=1), p2 - plan.sum(axis=0)
+        error = max(np.abs(rows).max(), np.abs(cols).max())
+        if error <= tol or steps == _NEWTON_STEPS:
+            break
+        df, dg = _newton_direction(plan, p1, p2, 1e-4 * error)
+        slope, linear = df @ rows + dg @ cols, df @ p1 + dg @ p2
+        for t in 0.5 ** np.arange(40.0):
+            if t * linear - (plan * np.expm1(t * (df[:, None] + dg))).sum() >= 1e-4 * t * slope:
+                break
+        else:
+            break
+        step_f, step_g = f + reg * t * df, g + reg * t * dg
+        if not (np.isfinite(step_f).all() and np.isfinite(step_g).all()):
+            break
+        f, g = step_f, step_g
+    return f, g, error, steps
+
+
 def _round_to_polytope(plan, p1, p2):
     """Project a near-feasible plan onto the coupling polytope.
 
@@ -540,15 +588,18 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000):
     keeps small `reg` values from needing tens of thousands of iterations.
     Every stage is one scaling loop on the kernel with the potentials
     absorbed, re-centred first where that kernel would underflow (see
-    `_sinkhorn_stage`). The returned plan is projected onto the coupling
-    polytope, so its marginals hold to machine precision wherever the
-    iteration stopped; `marginal_error` reports the finite pre-projection
-    dual residual and `converged` whether it reached `tol` (nonnegative and
-    finite) within the budget. Below the shifted cost's largest entry times
-    the machine epsilon the kernel exponents are spaced more than 1 apart, so
-    no plan can be formed: the schedule stops before its first level there.
-    That, and a non-finite plan (a stage that leaves a potential non-finite
-    also ends the schedule), raise NumericalError.
+    `_sinkhorn_stage`). If `_NEWTON_STEPS` Newton steps, at about min(m, n) / 4
+    passes each, fit in `max_iter` after `_NEWTON_AFTER` passes, that schedule's
+    last stage runs those passes, then `_newton_finish`, then, while above `tol`,
+    the passes left. The returned plan is projected onto the coupling polytope,
+    so its marginals hold to machine precision wherever the iteration stopped;
+    `marginal_error` reports the finite pre-projection dual residual and
+    `converged` whether it reached `tol` (nonnegative and finite) within the
+    budget. Below the shifted cost's largest entry times the machine epsilon the
+    kernel exponents are spaced more than 1 apart, so no plan can be formed: the
+    schedule stops before its first level there. That, and a non-finite plan (a
+    stage that leaves a potential non-finite also ends the schedule), raise
+    NumericalError.
 
     Atoms of mass at most sqrt(max(m, n) e^_EXP_FLOOR), about 1e-153, come back
     as zero rows or columns: after a full pass the plan's largest entry in row
@@ -582,7 +633,9 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000):
             level /= 2.0
     schedule.append(float(reg))
 
-    total_iterations = 0
+    rest = max_iter - _NEWTON_AFTER
+    finish = not near_scale and _NEWTON_STEPS * min(active_cost.shape) <= 4 * rest
+    total_iterations = newton_steps = 0
     error = np.inf
     # A stage that empties a kernel row divides by zero; the resulting
     # non-finite plan is reported below as a NumericalError.
@@ -594,13 +647,17 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000):
                 raise NumericalError("entropic solver produced non-finite plan entries")
             last = stage_index == len(schedule) - 1
             stage_tol = tol if last else max(tol, 1e-3)
-            stage_budget = max_iter if last else min(max_iter, 200)
-            f, g, used, error = _sinkhorn_stage(
-                active_cost, level, ap1, ap2, f, g, stage_tol, stage_budget, omega
-            )
+            stage_budget = (_NEWTON_AFTER if finish else max_iter) if last else min(max_iter, 200)
+            problem = active_cost, level, ap1, ap2
+            f, g, used, error = _sinkhorn_stage(*problem, f, g, stage_tol, stage_budget, omega)
             total_iterations += used
             if not (np.isfinite(f).all() and np.isfinite(g).all()):
                 break
+            if last and finish and error > tol:
+                f, g, error, newton_steps = _newton_finish(*problem, f, g, tol)
+                if error > tol:
+                    f, g, used, error = _sinkhorn_stage(*problem, f, g, tol, rest, omega)
+                    total_iterations += used
         plan = np.exp((f[:, None] + g - active_cost) / schedule[-1])
     if not np.isfinite(plan).all():
         raise NumericalError("entropic solver produced non-finite plan entries")
@@ -610,6 +667,7 @@ def solve_sinkhorn(cost, p1, p2, reg=0.05, tol=1e-6, max_iter=1000):
         converged=bool(error <= tol),
         iterations=total_iterations,
         marginal_error=float(error),
+        newton_steps=newton_steps,
     )
 
 

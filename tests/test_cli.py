@@ -537,6 +537,7 @@ class TestOtCheck:
         out = capsys.readouterr().out
         assert "ot-check: PASS" in out
         assert "permutation oracle" in out
+        assert "max marginal error" in out and ", converged 5/5 [OK]" in out
 
     def test_writes_csv_dumps(self, tmp_path):
         out = str(tmp_path / "otc")

@@ -17,11 +17,13 @@ uniform marginals, then again with learned-weight marginals on the sides the
 setting learns, so the effect of instance weighting is directly visible. A
 setting that learns neither side (CSDA) reuses the uniform value as the
 learned one. With equally many points on both sides the uniform solve is an
-assignment, and its marginals hold exactly.
+assignment, and its marginals hold exactly. The uniform solve runs in a worker
+thread beside the learned one (both solvers release the GIL); its error wins.
 """
 
 import json
 import logging
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -151,20 +153,37 @@ def wasserstein_gap(features_a, features_b, raw_weights_a=None, raw_weights_b=No
     Returns (uniform_value, learned_value): the first with uniform marginals
     on both sides, the second with each side's raw weights normalized into its
     marginal (sides passed as None stay uniform). With both sides None the
-    two values are one solve.
+    two values are one solve. Otherwise a worker thread, joined on every path,
+    solves the uniform problem, and its error wins over this thread's.
     """
     a = np.asarray(features_a, dtype=np.float64)
     b = np.asarray(features_b, dtype=np.float64)
     cost = ot.cosine_cost(a, b)
     uniform_a = np.full(a.shape[0], 1.0 / a.shape[0])
     uniform_b = np.full(b.shape[0], 1.0 / b.shape[0])
-    uniform_value = ot.coupling_cost(ot.solve_exact(cost, uniform_a, uniform_b), cost)
+
+    def value(marginal_a, marginal_b):
+        return ot.coupling_cost(ot.solve_exact(cost, marginal_a, marginal_b), cost)
     if raw_weights_a is None and raw_weights_b is None:
-        return uniform_value, uniform_value
-    marginal_a = normalize_weights(raw_weights_a).normalized if raw_weights_a is not None else uniform_a
-    marginal_b = normalize_weights(raw_weights_b).normalized if raw_weights_b is not None else uniform_b
-    learned_value = ot.coupling_cost(ot.solve_exact(cost, marginal_a, marginal_b), cost)
-    return uniform_value, learned_value
+        return (value(uniform_a, uniform_b),) * 2
+    uniform = []
+
+    def solve_uniform():
+        try:
+            uniform.append(value(uniform_a, uniform_b))
+        except BaseException as exc:
+            uniform.append(exc)
+    worker = threading.Thread(target=solve_uniform)
+    worker.start()
+    try:
+        marginal_a = normalize_weights(raw_weights_a).normalized if raw_weights_a is not None else uniform_a
+        marginal_b = normalize_weights(raw_weights_b).normalized if raw_weights_b is not None else uniform_b
+        learned_value = value(marginal_a, marginal_b)
+    finally:
+        worker.join()
+        if isinstance(uniform[0], BaseException):
+            raise uniform[0]
+    return uniform[0], learned_value
 
 
 def evaluate(model, target, plan, source=None):

@@ -12,6 +12,7 @@ import pytest
 from iwot import cli, nets, ot
 from iwot.cli import main
 from iwot.data import LabelSplit, load_dataset
+from iwot.errors import NumericalError
 from iwot.training import TrainConfig
 
 BASE_CONFIG = """\
@@ -418,6 +419,29 @@ class TestTrainEval:
                 "common_acc", "unknown_acc", "h_score", "os_mean", "os_star",
                 "wasserstein_uniform", "wasserstein_learned",
             ]
+
+    def test_eval_gap_solve_failure_is_one_line_numerical_error(
+        self, generated, capsys, monkeypatch
+    ):
+        # The domain-gap diagnostic solves its uniform problem on a worker
+        # thread; a failure there still ends the command with exit 4.
+        config, out = generated
+        assert run(["train", "--config", config, "--out", out]) == 0
+
+        def failing_solve(cost, p1, p2):
+            raise NumericalError("exact transport LP failed: the HiGHS run returned an error")
+
+        monkeypatch.setattr(ot, "solve_exact", failing_solve)
+        capsys.readouterr()
+        eval_out = os.path.join(out, "eval")
+        code = run(["eval", "--checkpoint", os.path.join(out, "checkpoint.json"),
+                    "--data", os.path.join(out, "target.txt"),
+                    "--source", os.path.join(out, "source.txt"), "--out", eval_out])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "numerical error: exact transport LP failed: the HiGHS run returned an error\n"
+        )
+        assert not os.path.exists(eval_out)
 
     def test_eval_source_role_file_rejected(self, generated):
         config, out = generated

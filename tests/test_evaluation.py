@@ -1,11 +1,14 @@
 """Inference thresholding and metric computation against hand-built cases."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from iwot import ot
 from iwot.data import LabelSplit, ShiftSpec, generate_pair
 from iwot.evaluation import (
     EvalReport,
@@ -15,6 +18,8 @@ from iwot.evaluation import (
     score_predictions,
     wasserstein_gap,
 )
+from iwot.errors import NumericalError
+from iwot.losses import normalize_weights
 from iwot.settings import plan_for_setting
 from iwot.training import TrainConfig, train
 
@@ -166,6 +171,129 @@ class TestWassersteinGap:
         baseline_uniform, _ = wasserstein_gap(a, b)
         assert_allclose(uniform_value, baseline_uniform, atol=1e-12)
         assert learned_value != uniform_value
+
+
+def is_uniform(marginal):
+    return bool((marginal == marginal[0]).all())
+
+
+class TestConcurrentGap:
+    """The uniform solve runs in a worker thread beside the learned one."""
+
+    @pytest.mark.parametrize(
+        "m, n, learned",
+        [(48, 48, "a"), (48, 48, "ab"), (40, 52, "b"), (40, 52, "ab")],
+        ids=["square-source", "square-both", "rect-target", "rect-both"],
+    )
+    def test_values_equal_sequential_solves(self, m, n, learned):
+        # Square: an assignment beside an LP; non-square: two HiGHS runs.
+        rng = np.random.default_rng(25)
+        a, b = rng.normal(size=(m, 6)), rng.normal(size=(n, 6)) + 0.3
+        raw_a = rng.uniform(0.05, 0.95, m) if "a" in learned else None
+        raw_b = rng.uniform(0.05, 0.95, n) if "b" in learned else None
+        cost = ot.cosine_cost(a, b)
+        uniform_a, uniform_b = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+        marginal_a = normalize_weights(raw_a).normalized if raw_a is not None else uniform_a
+        marginal_b = normalize_weights(raw_b).normalized if raw_b is not None else uniform_b
+        expected = (
+            ot.coupling_cost(ot.solve_exact(cost, uniform_a, uniform_b), cost),
+            ot.coupling_cost(ot.solve_exact(cost, marginal_a, marginal_b), cost),
+        )
+        before = threading.active_count()
+        assert wasserstein_gap(a, b, raw_a, raw_b) == expected
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_get_their_own_values(self):
+        # Three callers at once run six threads on fewer cores, with a short
+        # switch interval; each call must still return its own pair.
+        rng = np.random.default_rng(28)
+        problems = [
+            (rng.normal(size=(20, 5)), rng.normal(size=(20 + k, 5)), rng.uniform(0.1, 0.9, 20))
+            for k in range(3)
+        ]
+        expected = [wasserstein_gap(a, b, raw) for a, b, raw in problems]
+        results = [None] * len(problems)
+
+        def call(index):
+            for _ in range(10):
+                results[index] = wasserstein_gap(*problems[index])
+                if results[index] != expected[index]:
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=call, args=(k,)) for k in range(len(problems))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected
+
+    @pytest.mark.parametrize(
+        "failing, message",
+        [("uniform", "uniform solve failed"), ("learned", "learned solve failed"),
+         ("both", "uniform solve failed")],
+    )
+    def test_solve_errors_surface_as_before(self, monkeypatch, failing, message):
+        # Sequentially the uniform solve ran first, so its error wins. With
+        # both failing, the uniform failure waits until the learned one has
+        # raised: the winner is chosen by role, not by which fails first.
+        learned_failed = threading.Event()
+        original = ot.solve_exact
+
+        def failing_solve(cost, p1, p2):
+            uniform = is_uniform(p1) and is_uniform(p2)
+            if uniform and failing in ("uniform", "both"):
+                if failing == "both":
+                    learned_failed.wait(5.0)
+                raise NumericalError("uniform solve failed")
+            if not uniform and failing in ("learned", "both"):
+                learned_failed.set()
+                raise NumericalError("learned solve failed")
+            return original(cost, p1, p2)
+
+        monkeypatch.setattr(ot, "solve_exact", failing_solve)
+        rng = np.random.default_rng(26)
+        a, b = rng.normal(size=(20, 5)), rng.normal(size=(20, 5))
+        before = threading.active_count()
+        with pytest.raises(NumericalError) as caught:
+            wasserstein_gap(a, b, raw_weights_a=rng.uniform(0.1, 0.9, 20))
+        assert type(caught.value) is NumericalError
+        assert str(caught.value) == message
+        assert threading.active_count() == before
+        if failing == "both":
+            assert learned_failed.is_set()
+
+    @pytest.mark.parametrize("learned", [False, True])
+    def test_which_thread_solves_what(self, monkeypatch, learned):
+        # A learned side puts the uniform solve on a worker thread; with none,
+        # the one uniform solve stays on the caller's thread.
+        calls = []
+        original = ot.solve_exact
+
+        def recording_solve(cost, p1, p2):
+            calls.append((is_uniform(p1) and is_uniform(p2), threading.current_thread()))
+            return original(cost, p1, p2)
+
+        monkeypatch.setattr(ot, "solve_exact", recording_solve)
+        rng = np.random.default_rng(27)
+        raw = rng.uniform(0.1, 0.9, 11) if learned else None
+        uniform_value, learned_value = wasserstein_gap(
+            rng.normal(size=(9, 4)), rng.normal(size=(11, 4)), raw_weights_b=raw
+        )
+        caller = threading.current_thread()
+        if learned:
+            solved_by = dict(calls)
+            assert len(calls) == 2
+            assert solved_by[False] is caller
+            assert solved_by[True] is not caller
+        else:
+            assert uniform_value == learned_value
+            assert calls == [(True, caller)]
 
 
 class TestEvaluateEndToEnd:

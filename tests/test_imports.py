@@ -54,6 +54,17 @@ def test_import_does_not_load_scipy_optimize():
     )
 
 
+def test_import_does_not_load_thread_pools():
+    # The domain-gap diagnostic uses a bare threading.Thread, which logging
+    # has already imported, so start-up stays flat.
+    run_fresh(
+        "import sys\n"
+        "import iwot, iwot.cli\n"
+        "assert 'concurrent.futures' not in sys.modules, sorted(sys.modules)\n"
+        "assert 'queue' not in sys.modules, sorted(sys.modules)\n"
+    )
+
+
 @pytest.mark.parametrize("first", ["scipy.optimize", "iwot.ot"])
 def test_extensions_are_scipy_optimize_own(first):
     second = "iwot.ot" if first == "scipy.optimize" else "scipy.optimize"

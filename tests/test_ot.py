@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -627,6 +628,37 @@ class TestInputsUntouched:
         assert [array.tobytes() for array in inputs] == before
         assert not any(np.shares_memory(plan, array) for array in inputs)
         assert validate_coupling(plan, p1, p2, tol=1e-9).passed
+
+
+class TestThreadSafety:
+    def test_concurrent_exact_solves_match_sequential_plans(self):
+        # `wasserstein_gap` runs two exact solves at once: an assignment beside
+        # an LP, or two HiGHS runs. Both compiled solvers release the GIL, so
+        # this guards that they stay safe to run side by side.
+        problems = []
+        uniform = np.full(64, 1.0 / 64)
+        for seed in range(8):
+            problems.append(learned_cosine_instance(24, 2600 + seed, learned_target=True))
+            problems.append(learned_cosine_instance(64, 2610 + seed, learned_target=seed % 2 == 0))
+            cost, _, _ = learned_cosine_instance(64, 2620 + seed, learned_target=False)
+            problems.append((cost, uniform, uniform))
+        expected = [solve_exact(*problem).tobytes() for problem in problems]
+        barrier = threading.Barrier(2)
+        plans = [[], []]
+
+        def solve_all(index):
+            barrier.wait()
+            order = problems if index == 0 else problems[::-1]
+            plans[index] = [solve_exact(*problem).tobytes() for problem in order]
+
+        threads = [threading.Thread(target=solve_all, args=(index,)) for index in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        assert plans[0] == expected
+        assert plans[1] == expected[::-1]
 
 
 class TestSolveSinkhorn:

@@ -10,7 +10,7 @@ target-only. The target domain additionally undergoes a fixed covariate shift
 (rotation in the first two dimensions, translation, extra feature noise), so
 adaptation has real work to do even on common classes.
 
-On-disk format (version 1), line-oriented UTF-8 with Unix newlines:
+On-disk format (version 1), line-oriented ASCII with Unix newlines:
 
     iwot-dataset v1
     role <source|target>
@@ -37,7 +37,8 @@ from .fileio import atomic_write_text, format_float, read_text
 FORMAT_LINE = "iwot-dataset v1"
 UNKNOWN_LABEL = -1
 
-_INT_RE = re.compile(r"^-?\d+$")
+_INT_RE = re.compile(r"^-?[0-9]+$")
+_FORBIDDEN = "\t\x0b\x0c\x1c\x1d\x1e\x1f_"  # int() and float() take them; the format does not
 
 
 @dataclass(frozen=True)
@@ -291,6 +292,10 @@ def load_dataset(path):
         raise DataFormatError("file contains carriage returns; expected Unix newlines")
     if not text.endswith("\n"):
         raise DataFormatError("file does not end with a newline")
+    if not text.isascii() or any(char in text for char in _FORBIDDEN):
+        at = next(i for i, char in enumerate(text) if char in _FORBIDDEN or not char.isascii())
+        raise DataFormatError("line %d: character %r is not allowed"
+                              % (text.count("\n", 0, at) + 1, text[at]))
     lines = text.split("\n")[:-1]
     if not lines or lines[0] != FORMAT_LINE:
         raise DataFormatError("line 1: expected %r" % FORMAT_LINE)

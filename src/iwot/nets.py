@@ -5,7 +5,8 @@ parameters: a feature extractor (ReLU hidden layers, linear output), a linear
 classifier head over the feature space, and a linear + sigmoid head that maps
 a feature vector to a scalar instance weight in (0, 1). Everything runs in
 float64 and all gradients are computed by explicit backpropagation below; no
-autograd framework is involved anywhere in the package.
+autograd framework is involved anywhere in the package. A network's parameters,
+gradient and SGD velocity are each one vector of one layout, with per-layer views.
 
 Checkpoints are versioned JSON documents ("iwot-checkpoint", version 1)
 holding, per network, the activation list and each layer's shape and
@@ -50,14 +51,13 @@ def _apply_activation(name, z):
     raise ValueError("unknown activation %r" % (name,))
 
 
-def _activation_grad(name, z, post):
+def _activation_backward(name, upstream, z, post):
+    """d(loss)/dz from d(loss)/d(act(z)); `post` is act(z)."""
     if name == "relu":
-        return (z > 0.0).astype(z.dtype)
+        return upstream * (z > 0.0)
     if name == "sigmoid":
-        return post * (1.0 - post)
-    if name == "identity":
-        return np.ones_like(z)
-    raise ValueError("unknown activation %r" % (name,))
+        return upstream * (post * (1.0 - post))
+    return upstream
 
 
 class ForwardTrace:
@@ -72,9 +72,10 @@ class ForwardTrace:
 class Mlp:
     """A stack of affine layers with elementwise activations.
 
-    Parameters are plain float64 arrays: weights[i] has shape
-    (fan_in, fan_out) and biases[i] shape (fan_out,). Layer i computes
-    act(x @ weights[i] + biases[i]).
+    The parameters are one float64 vector `flat`: per layer, weights[i] (shape
+    (fan_in, fan_out), row-major) then biases[i] (shape (fan_out,)), which are
+    views into it; `views` lays out any vector of its length the same way.
+    Layer i computes act(x @ weights[i] + biases[i]).
     """
 
     def __init__(self, weights, biases, activations):
@@ -92,9 +93,22 @@ class Mlp:
                 raise ValueError("layer %d has unknown activation %r" % (i, act))
             if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
                 raise ValueError("layer %d input width does not match layer %d output" % (i, i - 1))
-        self.weights = weights
-        self.biases = biases
         self.activations = activations
+        self._shapes = [w.shape for w in weights]
+        self.flat = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+        self.weights, self.biases = self.views(self.flat)
+
+    def __reduce__(self):  # a copy or unpickled network gets its own `flat` and views
+        return Mlp, (self.weights, self.biases, self.activations)
+
+    def views(self, vec):
+        """(weights, biases): per-layer views into `vec`, laid out like `flat`."""
+        weights, biases, start = [], [], 0
+        for rows, cols in self._shapes:
+            weights.append(vec[start : start + rows * cols].reshape(rows, cols))
+            start += rows * cols + cols
+            biases.append(vec[start - cols : start])
+        return weights, biases
 
     @classmethod
     def init(cls, dims, activations, rng):
@@ -114,10 +128,6 @@ class Mlp:
     @property
     def output_dim(self):
         return self.weights[-1].shape[1]
-
-    @property
-    def n_layers(self):
-        return len(self.weights)
 
     def forward(self, batch):
         """Run a (batch, input_dim) array through the network.
@@ -141,25 +151,25 @@ class Mlp:
     def backward(self, trace, output_grad):
         """Backpropagate d(loss)/d(output) through the cached forward pass.
 
-        Returns (grads, input_grad) where grads is a list of (dW, db) pairs in
-        layer order and input_grad is d(loss)/d(batch).
+        Returns (grad, input_grad): d(loss)/d(flat), laid out like `flat` (so
+        `views(grad)` gives each layer's dW and db), and d(loss)/d(batch).
         """
         output_grad = np.asarray(output_grad, dtype=np.float64)
         if output_grad.shape != trace.post[-1].shape:
             raise ValueError("output_grad shape must match the forward output")
-        grads = [None] * self.n_layers
+        grad = np.empty_like(self.flat)
+        dws, dbs = self.views(grad)
         upstream = output_grad
-        for i in range(self.n_layers - 1, -1, -1):
-            dz = upstream * _activation_grad(self.activations[i], trace.pre[i], trace.post[i])
+        for i in range(len(self.weights) - 1, -1, -1):
+            dz = _activation_backward(self.activations[i], upstream, trace.pre[i], trace.post[i])
             below = trace.post[i - 1] if i > 0 else trace.batch
-            grads[i] = (below.T @ dz, dz.sum(axis=0))
+            np.matmul(below.T, dz, out=dws[i])
+            dz.sum(axis=0, out=dbs[i])
             upstream = dz @ self.weights[i].T
-        return grads, upstream
+        return grad, upstream
 
     def has_finite_params(self):
-        return all(np.isfinite(w).all() for w in self.weights) and all(
-            np.isfinite(b).all() for b in self.biases
-        )
+        return bool(np.isfinite(self.flat).all())
 
 
 def cross_entropy(logits, labels):
@@ -188,10 +198,10 @@ def cross_entropy(logits, labels):
 class SgdMomentum:
     """Classical momentum SGD; weight decay adds an L2 term to the gradient.
 
-    The update per parameter p with gradient g is
+    The update of p = net.flat, with g laid out the same way (Mlp.backward), is
         v <- momentum * v + g + weight_decay * p
         p <- p - lr * v
-    Buffers start at zero and live with the optimizer.
+    in place, in that order; v is one vector, starting at zero, kept here.
     """
 
     def __init__(self, net, lr, momentum=0.9, weight_decay=0.0):
@@ -205,19 +215,16 @@ class SgdMomentum:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        # The velocities of the weights, then of the biases.
-        self._velocity = [[np.zeros_like(p) for p in ps] for ps in (net.weights, net.biases)]
+        self._velocity = np.zeros_like(net.flat)
 
-    def step(self, grads):
-        """Apply one update from `grads`, a list of (dW, db) as returned by Mlp.backward."""
-        if len(grads) != self.net.n_layers:
-            raise ValueError("gradient list does not match network depth")
-        for params, velocity, param_grads in zip(
-            (self.net.weights, self.net.biases), self._velocity, zip(*grads)
-        ):
-            for i, grad in enumerate(param_grads):
-                velocity[i] = self.momentum * velocity[i] + grad + self.weight_decay * params[i]
-                params[i] = params[i] - self.lr * velocity[i]
+    def step(self, grad):
+        """Apply one update from `grad`, a flat gradient as returned by Mlp.backward."""
+        if np.shape(grad) != self.net.flat.shape:
+            raise ValueError("gradient does not match the network's parameter vector")
+        self._velocity *= self.momentum
+        self._velocity += grad
+        self._velocity += self.weight_decay * self.net.flat
+        self.net.flat -= self.lr * self._velocity
 
 
 def _net_to_json(net):

@@ -18,7 +18,8 @@ steepest edge cost nothing to set up for a basis other than the slack one.
 The row duals price every other arc, and arcs priced below -1e-9 are added
 and the LP re-solved until none is left, so the plan is optimal for the full
 LP. HiGHS's primal feasibility tolerance sits at its floor, 1e-10, so the
-marginals hold to round-off on this path too.
+marginals hold to round-off on this path too. Each thread keeps one HiGHS
+instance, made with its options on its first LP and cleared before each one.
 
 `solve_sinkhorn` is an entropic solver written here directly: each stage is
 one loop of stabilized scaling (Schmitzer 2019), matrix-vector scalings of a
@@ -50,6 +51,7 @@ provided here so loss code can chain through it.
 import importlib.machinery
 import importlib.util
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,8 +256,8 @@ def _shortlist(cost, p1, p2):
     reduced = shifted - f[:, None] - g
     listed = np.zeros((m, n), dtype=bool)
     k_row, k_col = min(_SHORTLIST, n), min(_SHORTLIST, m)
-    np.put_along_axis(listed, np.argpartition(reduced, k_row - 1, axis=1)[:, :k_row], True, axis=1)
-    np.put_along_axis(listed, np.argpartition(reduced, k_col - 1, axis=0)[:k_col], True, axis=0)
+    listed[np.arange(m)[:, None], np.argpartition(reduced, k_row - 1, axis=1)[:, :k_row]] = True
+    listed[np.argpartition(reduced, k_col - 1, axis=0)[:k_col], np.arange(n)] = True
     breaks = np.concatenate([np.cumsum(p1)[:-1], np.cumsum(p2)[:-1]])
     down = np.argsort(breaks, kind="stable") < m - 1
     listed[np.append(0, np.cumsum(down)), np.append(0, np.cumsum(~down))] = True
@@ -291,12 +293,34 @@ def _add_arcs(solver, arcs, cost):
     """
     m, n = cost.shape
     i, j = np.divmod(arcs, n)
-    index = np.stack([i, m + j], axis=1).ravel()
-    index = index[index != m + n - 1].astype(np.int32)
-    start = np.append(0, np.cumsum(np.where(j == n - 1, 1, 2))[:-1]).astype(np.int32)
+    index = np.stack([i, j + m], axis=1, dtype=np.int32).ravel()
+    index = index[index != m + n - 1]
+    start = np.append(0, np.cumsum(2 - (j[:-1] == n - 1))).astype(np.int32)
     size = arcs.size
     solver.addCols(size, cost.ravel()[arcs], np.zeros(size), np.full(size, highs.kHighsInf),
                    index.size, start, index, np.ones(index.size))
+
+
+_local = threading.local()  # one HiGHS instance per thread: wasserstein_gap solves on two
+
+
+def _solver():
+    """This thread's HiGHS instance, made with `solve_exact`'s options on first use."""
+    if not hasattr(_local, "solver"):
+        options = highs.HighsOptions()
+        options.presolve = "off"  # it finds nothing to remove in a transportation LP
+        options.output_flag = False
+        options.log_to_console = False
+        options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        # HiGHS's floor (it rejects less). At the default 1e-7 it can stop at a
+        # basis holding an entry of -1e-8; zeroing it moved the marginals.
+        options.primal_feasibility_tolerance = 1e-10
+        options.simplex_dual_edge_weight_strategy = (
+            highs.simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex
+        )
+        _local.solver = highs._Highs()
+        _local.solver.passOptions(options)
+    return _local.solver
 
 
 def _solve_lp(solver):
@@ -317,8 +341,9 @@ def solve_exact(cost, p1, p2):
     column masses all equal one value is solved as an assignment: each matched
     pair carries that mass, so every marginal holds exactly. Any other problem
     is the transportation LP, solved by the shortlist method (Gottschlich &
-    Schuhmacher 2014): HiGHS's dual simplex, presolve and output off, solves
-    it on the arcs `_shortlist` ranks by eps-scaled entropic dual estimates
+    Schuhmacher 2014): this thread's HiGHS instance (`_solver`; options set
+    once, model cleared per solve) runs dual simplex, presolve and output off,
+    on the arcs `_shortlist` ranks by eps-scaled entropic dual estimates
     (Schmitzer, J. Math. Imaging Vis. 2016 and SIAM J. Sci. Comput. 2019).
     The first pass starts from `_shortlist`'s spanning tree, loaded as an
     alien basis, and every pass prices with Devex dual edge weights (Huangfu
@@ -345,19 +370,8 @@ def solve_exact(cost, p1, p2):
     top = np.abs(active_cost).max()
     if top > 2.0:
         active_cost = np.ldexp(active_cost, -np.frexp(top)[1])
-    options = highs.HighsOptions()
-    options.presolve = "off"  # it finds nothing to remove in a transportation LP
-    options.output_flag = False
-    options.log_to_console = False
-    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    # HiGHS's floor (it rejects less). At the default 1e-7 it can stop at a
-    # basis holding an entry of -1e-8; zeroing it moved the marginals.
-    options.primal_feasibility_tolerance = 1e-10
-    options.simplex_dual_edge_weight_strategy = (
-        highs.simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex
-    )
-    solver = highs._Highs()
-    solver.passOptions(options)
+    solver = _solver()
+    solver.clearModel()
     # Row-sum constraints then column-sum constraints (the last one dropped).
     bounds = np.concatenate([ap1, ap2[:-1]])
     solver.addRows(bounds.size, bounds, bounds, 0, np.zeros(bounds.size, np.int32), [], [])
@@ -368,8 +382,10 @@ def solve_exact(cost, p1, p2):
     # dropped, its m + n - 1 arcs are one basic variable per row.
     basis = highs.HighsBasis()
     basis.alien = True
-    status_of = (highs.HighsBasisStatus.kLower, highs.HighsBasisStatus.kBasic)
-    basis.col_status = [status_of[basic] for basic in tree[arcs].tolist()]
+    col_status = [highs.HighsBasisStatus.kLower] * arcs.size
+    for basic in np.flatnonzero(tree[arcs]).tolist():
+        col_status[basic] = highs.HighsBasisStatus.kBasic
+    basis.col_status = col_status
     basis.row_status = [highs.HighsBasisStatus.kLower] * bounds.size
     solver.setBasis(basis)
     while new.size:
@@ -391,7 +407,8 @@ def solve_exact(cost, p1, p2):
         duals = np.asarray(solution.row_dual)
         reduced = active_cost - duals[:m, None]
         reduced[:, :-1] -= duals[m:]
-        new = np.flatnonzero((reduced.ravel() < -_PRICING_TOL) & ~listed)
+        new = np.flatnonzero(reduced.ravel() < -_PRICING_TOL)
+        new = new[~listed[new]]
         listed[new] = True
         arcs = np.concatenate([arcs, new])
     x = np.asarray(solution.col_value)

@@ -193,10 +193,6 @@ def build_model(input_dim, n_classes, config, rng):
     return TrainedModel(feature, classifier, weight)
 
 
-def _add_grads(a, b):
-    return [(dw1 + dw2, db1 + db2) for (dw1, db1), (dw2, db2) in zip(a, b)]
-
-
 # A diverging run overflows. The step functions run with NumPy's overflow
 # warnings off because _check_finite reports the first non-finite value as a
 # NumericalError naming the step; the warnings would only repeat it.
@@ -350,7 +346,7 @@ def _step(model, plan, config, optimizers, batch, target_x, step, epoch):
     feature_grads = [model.feature_net.backward(t, u)[0] for t, u in zip(traces, upstream)]
     feature_opt, classifier_opt, weight_opt = optimizers
     classifier_opt.step(grads_c)
-    feature_opt.step(functools.reduce(_add_grads, feature_grads))
+    feature_opt.step(functools.reduce(np.add, feature_grads))
     if weight_grads:
-        weight_opt.step(functools.reduce(_add_grads, weight_grads))
+        weight_opt.step(functools.reduce(np.add, weight_grads))
     return StepRecord(step, epoch, l_c, *terms, total, converged)

@@ -1,11 +1,13 @@
 """Synthetic dataset generation, geometry, determinism, and the file format."""
 
+import re
 import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from iwot import data as data_module
 from iwot.data import (
     LabelSplit,
     ShiftSpec,
@@ -314,6 +316,37 @@ class TestDatasetFile:
         lines[6] = "0.0 0.5 -1.25"
         with pytest.raises(DataFormatError, match="not an integer"):
             load_dataset(self.write_lines(tmp_path, lines))
+
+    @pytest.mark.parametrize(
+        "line, bad",
+        [
+            ("0 1_0 -1.25", "_"),  # float() reads it as 10.0
+            ("0 \t1.5 -1.25", "\t"),  # float() strips the tab
+            ("0 0.5 -1.25\x0b", "\x0b"),
+            ("0 0.5\x0c -1.25", "\x0c"),
+            ("0 0.5 \x1c-1.25", "\x1c"),
+            ("\u0661 0.5 -1.25", "\u0661"),  # an Arabic-Indic one; int() reads 1
+            ("0 \u0661.5 -1.25", "\u0661"),  # float() reads 1.5
+            ("0 0.5 \uff11", "\uff11"),  # a fullwidth one
+        ],
+    )
+    def test_text_that_python_parses_but_the_format_forbids(self, tmp_path, line, bad):
+        lines = self.valid_lines()
+        lines[6] = line
+        with pytest.raises(DataFormatError, match="line 7: character " + re.escape(repr(bad))):
+            load_dataset(self.write_lines(tmp_path, lines))
+
+    @pytest.mark.parametrize("header, line", [("dim \u0662", 3), ("seed 1_000", 5)])
+    def test_header_integers_are_ascii_digits(self, tmp_path, header, line):
+        lines = self.valid_lines()
+        lines[line - 1] = header
+        with pytest.raises(DataFormatError, match="line %d: character" % line):
+            load_dataset(self.write_lines(tmp_path, lines))
+
+    def test_integer_pattern_takes_ascii_digits_only(self):
+        with pytest.raises(DataFormatError, match="not an integer"):
+            data_module._parse_int("\u0661", "line 7")
+        assert data_module._parse_int("-12", "line 7") == -12
 
     @pytest.mark.parametrize("classes", [10**8, 10**20])
     def test_huge_class_count_checks_labels_by_range(self, tmp_path, classes):

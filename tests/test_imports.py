@@ -65,6 +65,32 @@ def test_import_does_not_load_thread_pools():
     )
 
 
+def test_import_constructs_no_highs_instance():
+    # The first exact LP on a thread makes that thread's instance and later
+    # ones reuse it; importing builds none, so `iwot generate` pays nothing.
+    run_fresh(
+        PLANS
+        + textwrap.dedent(
+            """
+            import iwot, iwot.cli
+            from iwot import ot
+            made = []
+
+            class Counting(ot.highs._Highs):
+                def __init__(self):
+                    made.append(self)
+                    super().__init__()
+
+            ot.highs._Highs = Counting
+            exact_plans(ot)
+            assert len(made) == 1, made
+            exact_plans(ot)
+            assert len(made) == 1, made
+            """
+        )
+    )
+
+
 @pytest.mark.parametrize("first", ["scipy.optimize", "iwot.ot"])
 def test_extensions_are_scipy_optimize_own(first):
     second = "iwot.ot" if first == "scipy.optimize" else "scipy.optimize"

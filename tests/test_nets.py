@@ -1,5 +1,6 @@
 """Network stack: forward/backward correctness, optimizer algebra, checkpoints."""
 
+import copy
 import math
 
 import numpy as np
@@ -132,10 +133,9 @@ class TestBackward:
         net = random_net(rng)
         x = rng.normal(size=(4, net.input_dim))
         out, trace = net.forward(x)
-        grads, input_grad = net.backward(trace, np.zeros_like(out))
+        grad, input_grad = net.backward(trace, np.zeros_like(out))
         assert (input_grad == 0).all()
-        for dw, db in grads:
-            assert (dw == 0).all() and (db == 0).all()
+        assert grad.shape == net.flat.shape and (grad == 0).all()
 
     def test_gradients_match_finite_differences(self):
         for seed in range(5):
@@ -151,8 +151,8 @@ class TestBackward:
                 return float((out * projector).sum())
 
             out, trace = net.forward(x)
-            grads, input_grad = net.backward(trace, projector)
-            for layer, (dw, db) in enumerate(grads):
+            grad, input_grad = net.backward(trace, projector)
+            for layer, (dw, db) in enumerate(zip(*net.views(grad))):
                 assert_allclose(
                     dw, fd_scalar_grad(loss, net.weights[layer]), rtol=1e-5, atol=1e-7
                 )
@@ -167,6 +167,47 @@ class TestBackward:
         _, trace = net.forward(rng.normal(size=(4, 3)))
         with pytest.raises(ValueError):
             net.backward(trace, np.zeros((4, 3)))
+
+
+class TestFlatParameters:
+    def test_layout_is_each_layer_weights_then_biases(self):
+        rng = np.random.default_rng(3)
+        weights = [rng.normal(size=(3, 5)), rng.normal(size=(5, 2))]
+        biases = [rng.normal(size=5), rng.normal(size=2)]
+        net = Mlp(weights, biases, ["relu", "identity"])
+        expected = np.concatenate([weights[0].ravel(), biases[0], weights[1].ravel(), biases[1]])
+        assert net.flat.tobytes() == expected.tobytes()
+        assert not any(np.shares_memory(net.flat, array) for array in weights + biases)
+        vec = np.arange(net.flat.size, dtype=np.float64)
+        view_weights, view_biases = net.views(vec)
+        assert [w.shape for w in view_weights] == [(3, 5), (5, 2)]
+        assert all(np.shares_memory(vec, array) for array in view_weights + view_biases)
+        assert view_biases[1].tolist() == vec[-2:].tolist()
+
+    def test_writes_through_the_layer_views_reach_flat(self):
+        net = random_net(np.random.default_rng(4))
+        for layer in range(len(net.weights)):
+            net.weights[layer][-1, 0] = 100.0 + layer
+            net.biases[layer][0] = -100.0 - layer
+        weights, biases = net.views(net.flat)
+        for layer in range(len(net.weights)):
+            assert weights[layer][-1, 0] == 100.0 + layer
+            assert biases[layer][0] == -100.0 - layer
+        copy_ = copy.deepcopy(net)
+        assert not np.shares_memory(copy_.flat, net.flat)
+        copy_.weights[0][0, 0] = 7.0
+        assert copy_.flat[0] == 7.0 and net.flat[0] != 7.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_in_any_layer_is_seen(self, value):
+        rng = np.random.default_rng(5)
+        for layer in range(3):
+            for kind in ("weights", "biases"):
+                net = random_net(rng, [3, 4, 5, 2], ["relu", "sigmoid", "identity"])
+                assert net.has_finite_params()
+                array = getattr(net, kind)[layer]
+                array.flat[array.size - 1] = value
+                assert not net.has_finite_params(), (layer, kind)
 
 
 class TestCrossEntropy:
@@ -220,13 +261,13 @@ class TestSgdMomentum:
         net = Mlp.init([3, 2], ["identity"], rng)
         before = [w.copy() for w in net.weights]
         opt = SgdMomentum(net, lr=0.1, momentum=0.9, weight_decay=0.0)
-        opt.step([(np.zeros((3, 2)), np.zeros(2))])
+        opt.step(np.zeros(3 * 2 + 2))
         assert (net.weights[0] == before[0]).all()
 
     def test_plain_sgd_subtracts_scaled_gradient(self):
         net = Mlp([np.full((1, 1), 2.0)], [np.array([1.0])], ["identity"])
         opt = SgdMomentum(net, lr=0.5, momentum=0.0, weight_decay=0.0)
-        opt.step([(np.array([[3.0]]), np.array([4.0]))])
+        opt.step(np.array([3.0, 4.0]))  # dW, then db
         assert_allclose(net.weights[0], [[2.0 - 0.5 * 3.0]], rtol=0, atol=0)
         assert_allclose(net.biases[0], [1.0 - 0.5 * 4.0], rtol=0, atol=0)
 
@@ -237,12 +278,37 @@ class TestSgdMomentum:
         opt = SgdMomentum(net, lr=lr, momentum=mu, weight_decay=wd)
         v1 = g1 + wd * p0
         p1 = p0 - lr * v1
-        opt.step([(np.array([[g1]]), np.zeros(1))])
+        opt.step(np.array([g1, 0.0]))
         assert_allclose(net.weights[0][0, 0], p1, rtol=1e-15)
         v2 = mu * v1 + g2 + wd * p1
         p2 = p1 - lr * v2
-        opt.step([(np.array([[g2]]), np.zeros(1))])
+        opt.step(np.array([g2, 0.0]))
         assert_allclose(net.weights[0][0, 0], p2, rtol=1e-15)
+
+    def test_steps_equal_the_per_array_recursion_bit_for_bit(self):
+        # The reference keeps one velocity per array and updates it out of
+        # place: v = mu * v + g + wd * p, then p = p - lr * v.
+        rng = np.random.default_rng(6)
+        net = random_net(rng)
+        lr, mu, wd = 0.05, 0.9, 5e-3
+        opt = SgdMomentum(net, lr=lr, momentum=mu, weight_decay=wd)
+        params = [a.copy() for a in net.weights + net.biases]
+        velocity = [np.zeros_like(a) for a in params]
+        for _ in range(6):
+            grad = rng.normal(size=net.flat.size)
+            per_array = [g.copy() for g in net.views(grad)[0] + net.views(grad)[1]]
+            opt.step(grad)
+            for i, g in enumerate(per_array):
+                velocity[i] = mu * velocity[i] + g + wd * params[i]
+                params[i] = params[i] - lr * velocity[i]
+            for mine, reference in zip(net.weights + net.biases, params):
+                assert mine.tobytes() == reference.tobytes()
+
+    def test_gradient_of_another_length_raises(self):
+        net = Mlp.init([2, 2], ["identity"], np.random.default_rng(0))
+        opt = SgdMomentum(net, lr=0.1)
+        with pytest.raises(ValueError, match="parameter vector"):
+            opt.step(np.zeros(net.flat.size + 1))
 
     def test_invalid_hyperparameters_raise(self):
         rng = np.random.default_rng(0)

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -554,7 +555,9 @@ class TestTreeStart:
         plan = solve_exact(cost, p1, p2)
         started = sum(iterations)
         iterations.clear()
-        monkeypatch.setattr(ot.highs, "_Highs", Cold)
+        cold = Cold()
+        cold.passOptions(ot._solver().getOptions())
+        monkeypatch.setattr(ot, "_solver", lambda: cold)
         cold_plan = solve_exact(cost, p1, p2)
         assert_allclose(plan, cold_plan, rtol=0, atol=1e-15)
         assert started < sum(iterations) / 5
@@ -659,6 +662,70 @@ class TestThreadSafety:
             assert not thread.is_alive()
         assert plans[0] == expected
         assert plans[1] == expected[::-1]
+
+    def test_threads_solve_on_their_own_instances_and_match_serial_plans(self):
+        # Four threads on two cores, switching often, each solving 24, 64 and
+        # 256 LPs in its own order on its own HiGHS instance.
+        problems = []
+        for seed in range(3):
+            problems.append(learned_cosine_instance(24, 2700 + seed, learned_target=True))
+            problems.append(learned_cosine_instance(64, 2710 + seed, learned_target=seed != 1))
+        problems.append(learned_cosine_instance(256, 2720, learned_target=True))
+        expected = [solve_exact(*problem).tobytes() for problem in problems]
+        workers = 4
+        barrier = threading.Barrier(workers)
+        plans, instances = [None] * workers, [None] * workers
+
+        def solve_all(index):
+            barrier.wait()
+            order = problems[index:] + problems[:index]
+            plans[index] = [solve_exact(*problem).tobytes() for problem in order]
+            instances[index] = ot._solver()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=solve_all, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for index in range(workers):
+            assert plans[index] == expected[index:] + expected[:index]
+        assert len({id(solver) for solver in instances + [ot._solver()]}) == workers + 1
+
+    @pytest.mark.parametrize("failing_pass", [1, 2])
+    def test_a_failed_solve_leaves_the_next_one_on_its_thread_unchanged(
+        self, monkeypatch, failing_pass
+    ):
+        # The instance is reused, so a solve that raised with a model, a basis
+        # and columns from pricing still loaded must not reach the next one.
+        heavy = heavy_row_instance()
+        others = [learned_cosine_instance(n, 2730 + n, learned_target=True) for n in (24, 64)]
+        monkeypatch.setattr(ot, "_SHORTLIST", 1)
+        expected = [solve_exact(*problem).tobytes() for problem in [heavy, *others]]
+        solver = ot._solver()
+        real_lp = ot._solve_lp
+        passes = []
+
+        def infeasible_once(solver):
+            run_status, model_status, solution, info = real_lp(solver)
+            passes.append(solver.getNumCol())
+            if len(passes) == failing_pass:
+                model_status = highs.HighsModelStatus.kInfeasible
+            return run_status, model_status, solution, info
+
+        monkeypatch.setattr(ot, "_solve_lp", infeasible_once)
+        with pytest.raises(NumericalError, match="model status kInfeasible"):
+            solve_exact(*heavy)
+        assert len(passes) == failing_pass
+        monkeypatch.setattr(ot, "_solve_lp", real_lp)
+        assert [solve_exact(*problem).tobytes() for problem in [heavy, *others]] == expected
+        assert ot._solver() is solver
+        assert solver.getOptionValue("primal_feasibility_tolerance")[1] == 1e-10
 
 
 class TestSolveSinkhorn:

@@ -323,7 +323,8 @@ class TestStepGradients:
         # Nonzero biases, so that no feature row is all zeros and every bias
         # gradient is exercised.
         for net in networks(model):
-            net.biases = [rng.uniform(0.1, 0.5, b.shape) for b in net.biases]
+            for b in net.biases:
+                b[...] = rng.uniform(0.1, 0.5, b.shape)
         batch = rng.normal(size=(8, 5)), rng.integers(0, 3, 8)
         target_x = rng.normal(size=(9, 5))
         before = copy.deepcopy(model)
@@ -356,6 +357,8 @@ class TestStepGradients:
         checked = 0
         for name, net in zip(names, networks(before)):
             grads = received.get(name)
+            if grads is not None:
+                grads = net.views(grads)
             for layer, arrays in enumerate(zip(net.weights, net.biases)):
                 for kind, array in enumerate(arrays):
                     fd = np.zeros_like(array)
@@ -370,7 +373,7 @@ class TestStepGradients:
                     if grads is None:
                         assert (fd == 0).all(), (name, layer, kind)
                         continue
-                    error = np.abs(grads[layer][kind] - fd).max() / np.abs(fd).max()
+                    error = np.abs(grads[kind][layer] - fd).max() / np.abs(fd).max()
                     assert error <= 1e-5, (name, layer, kind, error)
                     checked += 1
         assert checked == (10 if any(plan.weighted) else 8)

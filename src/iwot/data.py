@@ -37,7 +37,10 @@ from .fileio import atomic_write_text, format_float, read_text
 FORMAT_LINE = "iwot-dataset v1"
 UNKNOWN_LABEL = -1
 
-_INT_RE = re.compile(r"^-?[0-9]+$")
+# Only what save_dataset writes: int() and float() also read '007', '+1', '.5', '1E3'.
+_INT_RE = re.compile(r"0|-?[1-9][0-9]*+")
+_FLOAT = r"(?:-?(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:e[-+][0-9]++)?+|-?inf|nan)"
+_FIELDS_RE = re.compile("%s(?: %s)*+" % (_FLOAT, _FLOAT))
 _FORBIDDEN = "\t\x0b\x0c\x1c\x1d\x1e\x1f_"  # int() and float() take them; the format does not
 
 
@@ -270,7 +273,7 @@ def save_dataset(path, dataset):
 
 
 def _parse_int(token, where):
-    if not _INT_RE.match(token):
+    if not _INT_RE.fullmatch(token):
         raise DataFormatError("%s: %r is not an integer" % (where, token))
     return int(token)
 
@@ -327,8 +330,8 @@ def load_dataset(path):
         raise DataFormatError(
             "expected %d sample lines, found %d" % (count, len(body))
         )
-    # Every width is checked before the count x dim allocation, so that a
-    # corrupt `dim` header fails here rather than in it.
+    # Every width is checked before the count x dim parse, so that a corrupt
+    # `dim` header fails here rather than in it.
     for i, line in enumerate(body):
         if line.count(" ") != dim:
             raise DataFormatError(
@@ -339,24 +342,23 @@ def load_dataset(path):
     # a label must also fit the int64 label array.
     low, high = ((split.n_common, split.n_source_classes) if role == "source"
                  else (split.n_source_classes, split.n_total))
-    features = np.empty((count, dim))
     labels = np.empty(count, dtype=np.int64)
     for i, line in enumerate(body):
         where = "line %d" % (i + 7)
-        tokens = line.split(" ")
-        label = _parse_int(tokens[0], where)
+        label_text, fields = line.split(" ", 1)
+        label = _parse_int(label_text, where)
         if label == UNKNOWN_LABEL:
             if role != "target":
                 raise DataFormatError("%s: unknown-label marker is target-only" % where)
         elif not (0 <= label < split.n_common or low <= label < high) or label >= 2**63:
             raise DataFormatError("%s: label %d outside the %s label set" % (where, label, role))
         labels[i] = label
-        for j, token in enumerate(tokens[1:]):
-            try:
-                value = float(token)
-            except ValueError:
-                raise DataFormatError("%s: %r is not a float" % (where, token)) from None
-            if not math.isfinite(value):
-                raise DataFormatError("%s: non-finite feature value" % where)
-            features[i, j] = value
-    return DomainDataset(features, labels, split, role, seed)
+        if not _FIELDS_RE.fullmatch(fields):
+            bad = next(token for token in fields.split(" ") if not _FIELDS_RE.fullmatch(token))
+            raise DataFormatError("%s: %r is not a float" % (where, bad))
+    # NumPy reads these forms to float()'s doubles; %.17g's inf and nan fail here.
+    table = np.array(" ".join(body).split(" "), dtype=np.float64).reshape(count, 1 + dim)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise DataFormatError("line %d: non-finite feature value" % (np.argmin(finite) + 7))
+    return DomainDataset(table[:, 1:].copy(), labels, split, role, seed)

@@ -7,6 +7,8 @@ a feature vector to a scalar instance weight in (0, 1). Everything runs in
 float64 and all gradients are computed by explicit backpropagation below; no
 autograd framework is involved anywhere in the package. A network's parameters,
 gradient and SGD velocity are each one vector of one layout, with per-layer views.
+Each activation in `ACTIVATIONS` has a backward that reads only its output
+(ReLU's out > 0 is z > 0), so a forward pass keeps one array per layer.
 
 Checkpoints are versioned JSON documents ("iwot-checkpoint", version 1)
 holding, per network, the activation list and each layer's shape and
@@ -23,8 +25,6 @@ import numpy as np
 from .errors import DataFormatError
 from .fileio import atomic_write_text, read_text
 
-ACTIVATIONS = ("relu", "sigmoid", "identity")
-
 CHECKPOINT_FORMAT = "iwot-checkpoint"
 CHECKPOINT_VERSION = 1
 
@@ -35,38 +35,22 @@ def glorot_uniform(fan_in, fan_out, rng):
     return rng.uniform(-scale, scale, size=(fan_in, fan_out))
 
 
-def _apply_activation(name, z):
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        # Piecewise form avoids overflow in exp for large |z|.
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
-    if name == "identity":
-        return z
-    raise ValueError("unknown activation %r" % (name,))
+def _sigmoid(z):
+    # Piecewise form avoids overflow in exp for large |z|.
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
-def _activation_backward(name, upstream, z, post):
-    """d(loss)/dz from d(loss)/d(act(z)); `post` is act(z)."""
-    if name == "relu":
-        return upstream * (z > 0.0)
-    if name == "sigmoid":
-        return upstream * (post * (1.0 - post))
-    return upstream
-
-
-class ForwardTrace:
-    """Cached per-layer pre- and post-activations from one forward pass."""
-
-    def __init__(self, batch, pre, post):
-        self.batch = batch
-        self.pre = pre
-        self.post = post
+# name: (forward, backward); backward(d(loss)/d(out), out) is d(loss)/d(z).
+ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda up, out: up * (out > 0.0)),
+    "sigmoid": (_sigmoid, lambda up, out: up * (out * (1.0 - out))),
+    "identity": (lambda z: z, lambda up, out: up),
+}
 
 
 class Mlp:
@@ -75,7 +59,8 @@ class Mlp:
     The parameters are one float64 vector `flat`: per layer, weights[i] (shape
     (fan_in, fan_out), row-major) then biases[i] (shape (fan_out,)), which are
     views into it; `views` lays out any vector of its length the same way.
-    Layer i computes act(x @ weights[i] + biases[i]).
+    `weights` and `biases` are read-only tuples of those views, so none can
+    come apart from `flat`. Layer i computes act(x @ weights[i] + biases[i]).
     """
 
     def __init__(self, weights, biases, activations):
@@ -96,7 +81,7 @@ class Mlp:
         self.activations = activations
         self._shapes = [w.shape for w in weights]
         self.flat = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
-        self.weights, self.biases = self.views(self.flat)
+        self._weights, self._biases = self.views(self.flat)
 
     def __reduce__(self):  # a copy or unpickled network gets its own `flat` and views
         return Mlp, (self.weights, self.biases, self.activations)
@@ -108,18 +93,17 @@ class Mlp:
             weights.append(vec[start : start + rows * cols].reshape(rows, cols))
             start += rows * cols + cols
             biases.append(vec[start - cols : start])
-        return weights, biases
+        return tuple(weights), tuple(biases)
 
     @classmethod
     def init(cls, dims, activations, rng):
         """Fresh network over layer widths `dims` with Glorot weights and zero biases."""
-        if len(dims) < 2:
-            raise ValueError("dims must list at least input and output width")
-        if len(activations) != len(dims) - 1:
-            raise ValueError("need one activation per layer")
         weights = [glorot_uniform(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
         biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
         return cls(weights, biases, activations)
+
+    weights = property(lambda self: self._weights)
+    biases = property(lambda self: self._biases)
 
     @property
     def input_dim(self):
@@ -132,38 +116,35 @@ class Mlp:
     def forward(self, batch):
         """Run a (batch, input_dim) array through the network.
 
-        Returns (output, trace); feed the trace back to `backward`.
+        Returns (output, trace), where trace = [batch, out_1, ..., out_L] holds
+        the input and each layer's output; feed the trace back to `backward`.
         """
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim != 2 or batch.shape[1] != self.input_dim:
             raise ValueError(
                 "expected batch of shape (n, %d), got %r" % (self.input_dim, batch.shape)
             )
-        pre, post = [], []
-        current = batch
+        trace = [batch]
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            z = current @ w + b
-            current = _apply_activation(act, z)
-            pre.append(z)
-            post.append(current)
-        return current, ForwardTrace(batch, pre, post)
+            trace.append(ACTIVATIONS[act][0](trace[-1] @ w + b))
+        return trace[-1], trace
 
     def backward(self, trace, output_grad):
-        """Backpropagate d(loss)/d(output) through the cached forward pass.
+        """Backpropagate d(loss)/d(output) through a forward pass's trace.
 
+        Layer i reads its input as trace[i] and its output as trace[i + 1].
         Returns (grad, input_grad): d(loss)/d(flat), laid out like `flat` (so
         `views(grad)` gives each layer's dW and db), and d(loss)/d(batch).
         """
         output_grad = np.asarray(output_grad, dtype=np.float64)
-        if output_grad.shape != trace.post[-1].shape:
+        if output_grad.shape != trace[-1].shape:
             raise ValueError("output_grad shape must match the forward output")
         grad = np.empty_like(self.flat)
         dws, dbs = self.views(grad)
         upstream = output_grad
         for i in range(len(self.weights) - 1, -1, -1):
-            dz = _activation_backward(self.activations[i], upstream, trace.pre[i], trace.post[i])
-            below = trace.post[i - 1] if i > 0 else trace.batch
-            np.matmul(below.T, dz, out=dws[i])
+            dz = ACTIVATIONS[self.activations[i]][1](upstream, trace[i + 1])
+            np.matmul(trace[i].T, dz, out=dws[i])
             dz.sum(axis=0, out=dbs[i])
             upstream = dz @ self.weights[i].T
         return grad, upstream

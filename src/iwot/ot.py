@@ -326,12 +326,11 @@ def _solver():
 def _solve_lp(solver):
     """Run HiGHS on the model in `solver`: every pass of every LP solve.
 
-    Returns the run status, the model status, the solution (column values and
-    row duals) and the run's info; the last two mean something only if the
-    run did not fail and the model status is optimal.
+    Returns (run status, model status, solution); the solution's column values
+    and row duals hold only if the run did not fail and the model is optimal.
     """
     run_status = solver.run()
-    return run_status, solver.getModelStatus(), solver.getSolution(), solver.getInfo()
+    return run_status, solver.getModelStatus(), solver.getSolution()
 
 
 def solve_exact(cost, p1, p2):
@@ -351,13 +350,13 @@ def solve_exact(cost, p1, p2):
     simplex iterations of a cold steepest-edge start. Every unlisted arc
     (i, j) is priced with the row duals as c_ij - u_i - v_j (v is 0 for the
     dropped column), arcs below -1e-9 join the same model, and it is solved
-    again (cold, if the warm pass ends primal infeasible) until none is left,
-    so the plan is optimal for the full LP. HiGHS's primal feasibility
-    tolerance is 1e-10, its floor, so the plan holds the marginals to
-    round-off (any negative round-off entry is zeroed). HiGHS fails near cost
-    1e19, so a cost above 2 is first scaled exactly into [0.5, 1). A failed
-    HiGHS run or a model status other than optimal, on any pass, raises
-    NumericalError rather than returning a partial answer.
+    again from the last pass's basis until none is left, so the plan is
+    optimal for the full LP. HiGHS's primal feasibility tolerance is 1e-10,
+    its floor, so the plan holds the marginals to round-off (any negative
+    round-off entry is zeroed). HiGHS fails near cost 1e19, so a cost above 2
+    is first scaled exactly into [0.5, 1). A failed HiGHS run or a model
+    status other than optimal, on any pass, raises NumericalError rather than
+    returning a partial answer.
     """
     cost, p1, p2 = _check_problem(cost, p1, p2)
     active_cost, ap1, ap2, rows, cols = _reduce_support(cost, p1, p2)
@@ -376,7 +375,7 @@ def solve_exact(cost, p1, p2):
     bounds = np.concatenate([ap1, ap2[:-1]])
     solver.addRows(bounds.size, bounds, bounds, 0, np.zeros(bounds.size, np.int32), [], [])
     listed, tree = _shortlist(active_cost, ap1, ap2)
-    arcs = new = np.flatnonzero(listed)
+    arcs = np.flatnonzero(listed)
     _add_arcs(solver, arcs, active_cost)
     # The first pass starts from the tree: with the last column constraint
     # dropped, its m + n - 1 arcs are one basic variable per row.
@@ -388,18 +387,8 @@ def solve_exact(cost, p1, p2):
     basis.col_status = col_status
     basis.row_status = [highs.HighsBasisStatus.kLower] * bounds.size
     solver.setBasis(basis)
-    while new.size:
-        resolving = new.size < arcs.size
-        if resolving:
-            _add_arcs(solver, new, active_cost)
-        run_status, status, solution, info = _solve_lp(solver)
-        if resolving and info.max_primal_infeasibility > 0:
-            # A re-solve starts from a basis the new columns make dual
-            # infeasible, and HiGHS's clean-up may then stop off the marginals
-            # (seen at its default 1e-7 tolerance, not at 1e-10); such a pass
-            # is run again cold, with no starting basis.
-            solver.clearSolver()
-            run_status, status, solution, info = _solve_lp(solver)
+    while True:
+        run_status, status, solution = _solve_lp(solver)
         if run_status == highs.HighsStatus.kError:
             raise NumericalError("exact transport LP failed: the HiGHS run returned an error")
         if status != highs.HighsModelStatus.kOptimal:
@@ -409,8 +398,11 @@ def solve_exact(cost, p1, p2):
         reduced[:, :-1] -= duals[m:]
         new = np.flatnonzero(reduced.ravel() < -_PRICING_TOL)
         new = new[~listed[new]]
+        if not new.size:
+            break
         listed[new] = True
         arcs = np.concatenate([arcs, new])
+        _add_arcs(solver, new, active_cost)
     x = np.asarray(solution.col_value)
     plan = np.zeros(m * n)
     plan[arcs] = np.where(x < 0, 0.0, x)

@@ -373,3 +373,46 @@ class TestDatasetFile:
         lines[7] = "%d 3.5 2" % 2**63
         with pytest.raises(DataFormatError, match="line 8: label %d outside" % 2**63):
             load_dataset(self.write_lines(tmp_path, lines))
+
+    @pytest.mark.parametrize(
+        "token", ["+1.5", ".5", "1.", "1E3", "1e3", "01", "-.5", "1e+", "Infinity", "-nan", "+inf"]
+    )
+    def test_features_only_in_the_written_forms(self, tmp_path, token):
+        # float() reads all but '1e+'; none is a form %.17g writes
+        lines = self.valid_lines()
+        lines[7] = "1 3.5 " + token
+        message = "^line 8: %s is not a float$" % re.escape(repr(token))
+        with pytest.raises(DataFormatError, match=message):
+            load_dataset(self.write_lines(tmp_path, lines))
+
+    @pytest.mark.parametrize("token", ["1e+999", "-1e+400", "1" + "0" * 400, "-inf", "nan"])
+    def test_forms_of_values_that_are_not_finite(self, tmp_path, token):
+        lines = self.valid_lines()
+        lines[7] = "1 %s 2" % token
+        with pytest.raises(DataFormatError, match="^line 8: non-finite feature value$"):
+            load_dataset(self.write_lines(tmp_path, lines))
+
+    @pytest.mark.parametrize("line, text", [(8, "-0 3.5 2"), (8, "007 3.5 2"), (8, "+1 3.5 2"),
+                                            (3, "dim 02"), (4, "split 2 00 0"), (5, "seed -0"),
+                                            (6, "count +2")])
+    def test_integers_only_in_the_written_forms(self, tmp_path, line, text):
+        lines = self.valid_lines()
+        lines[line - 1] = text
+        with pytest.raises(DataFormatError, match="^line %d: '.*' is not an integer$" % line):
+            load_dataset(self.write_lines(tmp_path, lines))
+
+    def test_every_written_form_round_trips_bit_exactly(self, tmp_path):
+        tokens = ["-0", "0.10000000000000001", "1e-05", "1.0000000000000001e+20",
+                  "4.9406564584124654e-324", "10000000000000000", "0", "-2.5e-310"]
+        lines = self.valid_lines()
+        lines[1:] = ["role target", "dim %d" % len(tokens), "split 2 0 1", "seed -7", "count 2",
+                     "-1 " + " ".join(tokens), "2 " + " ".join(reversed(tokens))]
+        loaded = load_dataset(self.write_lines(tmp_path, lines))
+        expected = np.array([[float(t) for t in tokens], [float(t) for t in reversed(tokens)]])
+        assert loaded.features.tobytes() == expected.tobytes()
+        assert loaded.labels.tolist() == [-1, 2] and loaded.seed == -7
+        # and what save_dataset writes for those values loads back to the same bits
+        again = self.roundtrip(tmp_path, loaded)
+        assert again.features.tobytes() == expected.tobytes()
+        assert again.labels.tolist() == [-1, 2] and again.seed == -7
+        assert again.features.flags.c_contiguous

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from iwot.errors import DataFormatError
 from iwot.nets import (
+    ACTIVATIONS,
     Mlp,
     SgdMomentum,
     cross_entropy,
@@ -118,8 +119,8 @@ def net_without_relu_kinks(rng, dims, activations, x, margin=1e-3):
         net = Mlp.init(dims, activations, rng)
         _, trace = net.forward(x)
         closest = min(
-            np.abs(pre).min()
-            for pre, act in zip(trace.pre, activations)
+            np.abs(trace[i] @ w + b).min()
+            for i, (w, b, act) in enumerate(zip(net.weights, net.biases, activations))
             if act == "relu"
         ) if "relu" in activations else 1.0
         if closest > margin:
@@ -161,6 +162,21 @@ class TestBackward:
                 )
             assert_allclose(input_grad, fd_scalar_grad(loss, x), rtol=1e-5, atol=1e-7)
 
+    def test_relu_gradient_at_its_edges(self):
+        # ReLU's backward reads its output: out > 0 must equal z > 0 at
+        # signed zeros, the tiniest magnitudes, infinities and NaN.
+        z = np.array([[0.0], [-0.0], [1e-300], [-1e-300], [np.inf], [-np.inf], [np.nan]])
+        upstream = np.array([[2.0], [-3.0], [0.5], [7.0], [-1.5], [4.0], [1.0]])
+        forward, backward = ACTIVATIONS["relu"]
+        assert backward(upstream, forward(z)).tobytes() == (upstream * (z > 0)).tobytes()
+        # Through a network, where x @ 1 + 0 is x + 0.0 (-0.0 becomes 0.0).
+        net = Mlp([np.eye(1)], [np.zeros(1)], ["relu"])
+        _, trace = net.forward(z)
+        assert (trace[0] @ net.weights[0] + net.biases[0]).tobytes() == (z + 0.0).tobytes()
+        with np.errstate(invalid="ignore"):  # dW takes inf * 0
+            _, input_grad = net.backward(trace, upstream)
+        assert (input_grad == upstream * (z > 0)).all()  # dz @ 1 turns -0.0 into 0.0
+
     def test_upstream_shape_mismatch_raises(self):
         rng = np.random.default_rng(0)
         net = Mlp.init([3, 2], ["identity"], rng)
@@ -197,6 +213,16 @@ class TestFlatParameters:
         assert not np.shares_memory(copy_.flat, net.flat)
         copy_.weights[0][0, 0] = 7.0
         assert copy_.flat[0] == 7.0 and net.flat[0] != 7.0
+
+    def test_layer_views_cannot_be_rebound(self):
+        net = random_net(np.random.default_rng(8))
+        for kind in ("weights", "biases"):
+            replacement = [np.zeros_like(array) for array in getattr(net, kind)]
+            with pytest.raises(AttributeError):
+                setattr(net, kind, replacement)
+            with pytest.raises(TypeError):
+                getattr(net, kind)[0] = replacement[0]
+            assert all(np.shares_memory(net.flat, array) for array in getattr(net, kind))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_entry_in_any_layer_is_seen(self, value):
@@ -303,6 +329,18 @@ class TestSgdMomentum:
                 params[i] = params[i] - lr * velocity[i]
             for mine, reference in zip(net.weights + net.biases, params):
                 assert mine.tobytes() == reference.tobytes()
+
+    def test_forward_uses_the_stepped_parameters(self):
+        rng = np.random.default_rng(12)
+        net = random_net(rng, [3, 5, 2], ["relu", "identity"])
+        x = rng.normal(size=(4, 3))
+        before, _ = net.forward(x)
+        grad = rng.normal(size=net.flat.size)
+        stepped = Mlp(*net.views(net.flat - 0.5 * grad), net.activations)
+        SgdMomentum(net, lr=0.5, momentum=0.0).step(grad)
+        after, _ = net.forward(x)
+        assert after.tobytes() == stepped.forward(x)[0].tobytes()
+        assert not np.array_equal(after, before)
 
     def test_gradient_of_another_length_raises(self):
         net = Mlp.init([2, 2], ["identity"], np.random.default_rng(0))

@@ -38,9 +38,9 @@ FORMAT_LINE = "iwot-dataset v1"
 UNKNOWN_LABEL = -1
 
 # Only what save_dataset writes: int() and float() also read '007', '+1', '.5', '1E3'.
-_INT_RE = re.compile(r"0|-?[1-9][0-9]*+")
-_FLOAT = r"(?:-?(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:e[-+][0-9]++)?+|-?inf|nan)"
-_FIELDS_RE = re.compile("%s(?: %s)*+" % (_FLOAT, _FLOAT))
+_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
+_FLOAT = r"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+|)(?:e[-+][0-9]+|)|-?inf|nan)"
+_FIELDS_RE = re.compile("%s(?: %s)*" % (_FLOAT, _FLOAT))  # re runs `(x|)` faster than `(x)?`
 _FORBIDDEN = "\t\x0b\x0c\x1c\x1d\x1e\x1f_"  # int() and float() take them; the format does not
 
 

@@ -74,7 +74,7 @@ class Mlp:
         for i, (w, b, act) in enumerate(zip(weights, biases, activations)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ValueError("layer %d has inconsistent weight/bias shapes" % i)
-            if act not in ACTIVATIONS:
+            if not isinstance(act, str) or act not in ACTIVATIONS:
                 raise ValueError("layer %d has unknown activation %r" % (i, act))
             if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
                 raise ValueError("layer %d input width does not match layer %d output" % (i, i - 1))

@@ -1,6 +1,7 @@
 """Network stack: forward/backward correctness, optimizer algebra, checkpoints."""
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -426,4 +427,14 @@ class TestCheckpoint:
         text = path.read_text().replace('"rows": 2', '"rows": 3')
         path.write_text(text)
         with pytest.raises(DataFormatError):
+            load_checkpoint(path)
+
+    def test_non_string_activation_names_its_layer(self, tmp_path):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, {"net": Mlp.init([2, 2], ["identity"], rng)}, {})
+        doc = json.loads(path.read_text())
+        doc["networks"]["net"]["activations"] = [["relu"]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=r"layer 0 has unknown activation \['relu'\]"):
             load_checkpoint(path)

@@ -18,10 +18,8 @@ from .data import DomainDataset, LabelSplit, ShiftSpec, generate_pair, load_data
 from .errors import ConfigError, DataFormatError, DegenerateInputError, NumericalError
 from .evaluation import EvalReport, evaluate, h_score, score_predictions
 from .losses import (
-    LossGrads,
     TransportStep,
     TransportTerm,
-    WeightAssignment,
     iot_loss,
     loss_backward,
     normalize_weights,

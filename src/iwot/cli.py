@@ -288,6 +288,7 @@ def _model_from_checkpoint(path):
     model = TrainedModel(networks["feature"], networks["classifier"], networks["weight"])
     try:
         plan = plan_for_setting(meta["setting"], meta["beta"], meta["eta"], meta["epsilon"])
+        check_split_for_setting(LabelSplit(*split), plan.setting)
     except ConfigError as exc:
         raise DataFormatError("checkpoint metadata: %s" % exc) from None
     return model, plan, meta

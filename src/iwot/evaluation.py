@@ -176,8 +176,8 @@ def wasserstein_gap(features_a, features_b, raw_weights_a=None, raw_weights_b=No
     worker = threading.Thread(target=solve_uniform)
     worker.start()
     try:
-        marginal_a = normalize_weights(raw_weights_a).normalized if raw_weights_a is not None else uniform_a
-        marginal_b = normalize_weights(raw_weights_b).normalized if raw_weights_b is not None else uniform_b
+        marginal_a = normalize_weights(raw_weights_a) if raw_weights_a is not None else uniform_a
+        marginal_b = normalize_weights(raw_weights_b) if raw_weights_b is not None else uniform_b
         learned_value = value(marginal_a, marginal_b)
     finally:
         worker.join()

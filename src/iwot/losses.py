@@ -12,10 +12,10 @@ the uniform distribution. Instance weights enter as marginals: the raw
 sigmoid outputs of the weight head are normalized over the batch to a
 probability vector.
 
-`transport_step` runs the transport side of one adaptation step: it builds
-each side's marginal from the setting plan, solves and scores the terms the
-plan uses, and returns them as one TransportStep; `loss_backward` takes that
-step and returns the feature and raw-weight gradients of both sides.
+`transport_step` runs the transport side of one adaptation step: it takes
+the weight head's raw outputs, normalizes them into the plan's marginals,
+solves and scores the terms the plan uses, and returns one TransportStep;
+`loss_backward` returns that step's (features, raw) gradient pairs.
 
 Gradients use a frozen-plan scheme. Each solved plan is treated as a constant
 of the current step: the feature gradient flows through the cost matrix
@@ -34,14 +34,6 @@ from . import ot
 from .errors import ConfigError, DegenerateInputError
 
 
-@dataclass
-class WeightAssignment:
-    """Raw sigmoid weights of one batch and their normalization to a marginal."""
-
-    raw: np.ndarray
-    normalized: np.ndarray
-
-
 def normalize_weights(raw):
     """Normalize nonnegative raw weights into a probability vector over the batch."""
     raw = np.asarray(raw, dtype=np.float64)
@@ -54,7 +46,7 @@ def normalize_weights(raw):
     total = raw.sum()
     if total <= 0:
         raise DegenerateInputError("all raw weights are zero; no marginal can be formed")
-    return WeightAssignment(raw=raw, normalized=raw / total)
+    return raw / total
 
 
 @dataclass
@@ -162,8 +154,8 @@ def total_loss(classification, transport, separation, intra, plan):
 class TransportStep:
     """The transport side of one adaptation step: its inputs and solved terms.
 
-    `features` and `weights` are (source, target) pairs; a side whose weights
-    the plan never uses holds None. `partial` and `iot` are None, and
+    `features` and `weights` (raw head outputs) are (source, target) pairs; a
+    side whose weights the plan never uses holds None. `partial` and `iot` are None, and
     `separation` is 0.0, when the plan turns their term off.
     """
 
@@ -182,17 +174,18 @@ class TransportStep:
 def transport_step(plan, source_features, target_features, weights, **solve):
     """Solve and score the transport terms the plan asks for on one batch pair.
 
-    `weights` holds a WeightAssignment (or None) per side, source first. A
-    side whose marginal the plan learns transports its normalized weights,
-    the other side is uniform; the intra-domain term, if any, scores the side
-    `plan.iot_side` from that side's weights. `solve` (solver, reg, tol,
-    max_iter) goes to wot_loss and iot_loss.
+    `weights` holds each side's raw weight-head outputs, a 1-D float64 array
+    (or None), source first; each side the plan weights is normalized once.
+    A side whose marginal the plan learns transports that marginal, the other
+    side is uniform; the intra-domain term, if any, scores `plan.iot_side`
+    from it. `solve` (solver, reg, tol, max_iter) goes to wot_loss and iot_loss.
     """
     features = (source_features, target_features)
     weights = tuple(w if need else None for w, need in zip(weights, plan.weighted))
+    normalized = [None if w is None else normalize_weights(w) for w in weights]
     marginals = [
-        w.normalized if learned else np.full(len(f), 1.0 / len(f))
-        for f, w, learned in zip(features, weights, plan.learned)
+        p if learned else np.full(len(f), 1.0 / len(f))
+        for f, p, learned in zip(features, normalized, plan.learned)
     ]
     wot = wot_loss(*features, *marginals, **solve)
     partial, separation, iot = None, 0.0, None
@@ -201,22 +194,8 @@ def transport_step(plan, source_features, target_features, weights, **solve):
         separation = sa_loss(wot.coupling, partial, wot.cost)
     side = plan.iot_side
     if side is not None:
-        iot = iot_loss(features[side], weights[side].normalized, **solve)
+        iot = iot_loss(features[side], normalized[side], **solve)
     return TransportStep(features, weights, wot, partial, separation, iot)
-
-
-@dataclass
-class LossGrads:
-    """Gradients of the transport-side losses, each a (source, target) pair.
-
-    `features` covers the transport, separation and intra terms (the
-    classification path is backpropagated separately by the caller). `raw`
-    holds the gradient wrt each side's raw sigmoid weights, None on a side
-    whose weights the plan never uses.
-    """
-
-    features: tuple
-    raw: tuple
 
 
 def _conditional_cost_rows(coupling, cost, marginal):
@@ -228,17 +207,19 @@ def _conditional_cost_rows(coupling, cost, marginal):
     return out
 
 
-def _through_normalization(grad_normalized, assignment):
-    # Chain d(loss)/d(normalized) through normalized = raw / sum(raw).
-    total = assignment.raw.sum()
-    return (grad_normalized - float(grad_normalized @ assignment.normalized)) / total
+def _through_normalization(grad, normalized, total):
+    # Chain d(loss)/d(normalized) through normalized = raw / total, total = sum(raw).
+    return (grad - float(grad @ normalized)) / total
 
 
 def loss_backward(plan, step):
     """Gradients of beta*transport + eta*separation + epsilon*intra at a TransportStep.
 
-    Every plan of the step is a frozen constant. The raw gradients are with
-    respect to the sigmoid outputs behind `step.weights`.
+    Returns `(features, raw)`, each a (source, target) pair. `features` covers
+    the transport, separation and intra terms (the classification path is
+    backpropagated separately by the caller). `raw` holds the gradient wrt
+    each side's raw sigmoid weights in `step.weights`, None on a side whose
+    weights the plan never uses. Every plan of the step is a frozen constant.
     """
     features = [np.asarray(f, dtype=np.float64) for f in step.features]
     coupling, cost, partial = step.wot.coupling, step.wot.cost, step.partial
@@ -262,12 +243,15 @@ def loss_backward(plan, step):
         weights = step.weights[side]
         if weights is None:
             continue
-        grad_norm = np.zeros_like(weights.normalized)
+        # The operations of normalize_weights, so the marginal is the same bits.
+        total = weights.sum()
+        normalized = weights / total
+        grad_norm = np.zeros_like(normalized)
         if learned:
-            grad_norm += plan.beta * _conditional_cost_rows(*rows[side], weights.normalized)
+            grad_norm += plan.beta * _conditional_cost_rows(*rows[side], normalized)
         if intra:
             grad_norm += plan.epsilon * _conditional_cost_rows(
-                step.iot.coupling, step.iot.cost, weights.normalized
+                step.iot.coupling, step.iot.cost, normalized
             )
-        raw[side] = _through_normalization(grad_norm, weights)
-    return LossGrads(tuple(grads), tuple(raw))
+        raw[side] = _through_normalization(grad_norm, normalized, total)
+    return tuple(grads), tuple(raw)

@@ -161,10 +161,6 @@ class TrainedModel:
     classifier_net: Mlp
     weight_net: Mlp
 
-    @property
-    def n_classes(self):
-        return self.classifier_net.output_dim
-
     def features(self, x):
         return self.feature_net.forward(np.asarray(x, dtype=np.float64))[0]
 
@@ -326,7 +322,7 @@ def _step(model, plan, config, optimizers, batch, target_x, step, epoch):
             if plan.weighted[side]:
                 raw, weight_traces[side] = model.weight_net.forward(feats[side])
                 _check_finite(step, "a %s instance weight" % name, raw)
-                weights[side] = losses.normalize_weights(raw[:, 0])
+                weights[side] = raw[:, 0]
         transport = losses.transport_step(
             plan, *feats, weights, solver=config.solver, reg=config.sinkhorn_reg,
             tol=config.sinkhorn_tol, max_iter=config.sinkhorn_max_iter,
@@ -335,9 +331,9 @@ def _step(model, plan, config, optimizers, batch, target_x, step, epoch):
         terms = (transport.wot.value, transport.separation, intra)
         total = losses.total_loss(l_c, *terms, plan)
         converged = transport.converged
-        grads = losses.loss_backward(plan, transport)
-        upstream = [dfeats_cls + grads.features[0], grads.features[1]]
-        for side, raw_grad in enumerate(grads.raw):
+        (dfeats_s, dfeats_t), raw_grads = losses.loss_backward(plan, transport)
+        upstream = [dfeats_cls + dfeats_s, dfeats_t]
+        for side, raw_grad in enumerate(raw_grads):
             if raw_grad is not None:
                 wg, dfeats_w = model.weight_net.backward(weight_traces[side], raw_grad[:, None])
                 weight_grads.append(wg)

@@ -15,7 +15,6 @@ from iwot.evaluation import evaluate, h_score, score_predictions
 from iwot.losses import (
     iot_loss,
     loss_backward,
-    normalize_weights,
     partial_coupling,
     sa_loss,
     total_loss,
@@ -149,13 +148,10 @@ class TestLossContracts:
             rng = np.random.default_rng(seed)
             fs = rng.normal(size=(5, 6))
             ft = rng.normal(size=(4, 6))
-            weights = (
-                normalize_weights(rng.uniform(0.2, 0.9, 5)),
-                normalize_weights(rng.uniform(0.2, 0.9, 4)),
-            )
+            weights = (rng.uniform(0.2, 0.9, 5), rng.uniform(0.2, 0.9, 4))
             step = transport_step(plan, fs, ft, weights, solver="exact")
-            grads = loss_backward(plan, step)
-            for grad, feats in zip(grads.features, step.features):
+            features, _ = loss_backward(plan, step)
+            for grad, feats in zip(features, step.features):
                 fd = finite_difference(lambda: transport_objective(plan, step), feats)
                 worst = max(worst, np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8))
         report(

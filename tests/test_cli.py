@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from iwot import cli, nets, ot
+from iwot import cli, nets, ot, reference
 from iwot.cli import main
 from iwot.data import LabelSplit, load_dataset
 from iwot.errors import NumericalError
@@ -102,6 +102,17 @@ class TestGenerate:
         assert run(["generate", "--config", config, "--out", out]) == 2
         assert not os.path.exists(os.path.join(out, "source.txt"))
         assert "config error" in capsys.readouterr().err
+
+    def test_translation_list_of_wrong_length_rejected(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("dim = 8", "dim = 4").replace(
+            "translation = 0.8", "translation = 0.8, 0, 1"
+        )
+        out = tmp_path / "o"
+        assert run(["generate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: translation has 3 entries but the data has 4 dimensions\n"
+        )
+        assert not out.exists() or os.listdir(out) == []
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, BASE_CONFIG + "\n[data]\n", name="dup.ini")
@@ -503,11 +514,16 @@ class TestTrainEval:
              "'input_dim'"),
             (lambda doc: doc["networks"]["feature"].update(activations=5), "'feature'"),
             (lambda doc: doc["networks"]["feature"].update(activations=None), "'feature'"),
+            (lambda doc: doc["networks"].pop("weight"), "missing the 'weight' network"),
+            (lambda doc: doc["meta"].pop("epsilon"), "missing 'epsilon'"),
+            # a PDA run's split (2/1/0) has no target-private classes
+            (lambda doc: doc["meta"].update(setting="unida"), "unida needs"),
         ],
         ids=["split-int", "split-string-count", "weight-non-numeric", "negative-shape",
              "networks-mismatched", "setting-unknown", "beta-string", "beta-negative",
              "epsilon-infinite", "input-dim-string", "input-dim-mismatched",
-             "activations-int", "activations-null"],
+             "activations-int", "activations-null", "weight-network-missing",
+             "epsilon-missing", "setting-unfit-for-split"],
     )
     def test_eval_malformed_checkpoint_value_is_io_error(
         self, generated, tmp_path, capsys, corrupt, needle
@@ -528,6 +544,34 @@ class TestTrainEval:
         assert err.count("\n") == 1
         assert not os.path.exists(eval_out)
 
+    @pytest.mark.parametrize(
+        "change, mismatched, message",
+        [
+            (("dim = 8", "dim = 6"), "--data",
+             "dataset dimension 6 does not match the checkpoint's input width 8"),
+            (("n_common = 2", "n_common = 3"), "--data",
+             "dataset split [3, 1, 0] does not match the checkpoint's split [2, 1, 0]"),
+            (("dim = 8", "dim = 6"), "--source",
+             "source and target dataset dimensionalities differ"),
+        ],
+        ids=["data-dim", "data-split", "source-dim"],
+    )
+    def test_eval_mismatched_input_is_one_line_config_error(
+        self, generated, tmp_path, capsys, change, mismatched, message
+    ):
+        config, out = generated
+        assert run(["train", "--config", config, "--out", out]) == 0
+        other = str(tmp_path / "other")
+        other_config = write_config(tmp_path, BASE_CONFIG.replace(*change), "other.ini")
+        assert run(["generate", "--config", other_config, "--out", other]) == 0
+        eval_out = os.path.join(out, "eval")
+        argv = ["eval", "--checkpoint", os.path.join(out, "checkpoint.json"), "--out", eval_out]
+        for flag, name in (("--data", "target.txt"), ("--source", "source.txt")):
+            argv += [flag, os.path.join(other if flag == mismatched else out, name)]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "config error: %s\n" % message
+        assert not os.path.exists(eval_out)
 
     @pytest.mark.parametrize(
         "name, command, code",
@@ -573,6 +617,18 @@ class TestOtCheck:
     def test_bad_size_rejected(self):
         assert run(["ot-check", "--size", "9"]) == 2
         assert run(["ot-check", "--size", "1"]) == 2
+
+    def test_no_instances_rejected(self, capsys):
+        assert run(["ot-check", "--instances", "0"]) == 2
+        assert capsys.readouterr().err == "config error: --instances must be at least 1\n"
+
+    def test_oracle_disagreement_fails_with_numerical_exit(self, capsys, monkeypatch):
+        real = reference.permutation_transport
+        monkeypatch.setattr(reference, "permutation_transport", lambda cost: real(cost) + 1.0)
+        assert run(["ot-check", "--size", "3", "--instances", "2"]) == 4
+        out = capsys.readouterr().out
+        assert "permutation oracle: max gap 1.000e+00 over 2 instances [FAIL]" in out
+        assert out.endswith("ot-check: FAIL\n")
 
     def test_bad_reg_rejected(self):
         for reg in ("0", "-1", "nan", "inf"):

@@ -131,6 +131,16 @@ class TestGeneratePair:
         # translation of 2.0 in every coordinate
         assert_allclose(tgt_a.features[:, 2:] - tgt_b.features[:, 2:], 2.0, atol=1e-12)
 
+    def test_translation_list_shifts_each_dimension_by_its_entry(self):
+        split = LabelSplit(2, 1, 1)
+        per_dim = (0.5, -1.25, 0.0, 3.0)
+        shifted, plain = ShiftSpec(translation=per_dim), ShiftSpec(translation=0.0)
+        src_a, tgt_a = generate_pair(split, 50, 50, 4, seed=6, shift=shifted)
+        src_b, tgt_b = generate_pair(split, 50, 50, 4, seed=6, shift=plain)
+        assert (src_a.features == src_b.features).all()
+        shift = np.broadcast_to(per_dim, tgt_a.features.shape)
+        assert_allclose(tgt_a.features - tgt_b.features, shift, atol=1e-12)
+
     def test_office31_style_pda_split(self):
         split = LabelSplit(10, 21, 0)
         check_split_for_setting(split, "pda")

@@ -193,8 +193,8 @@ class TestConcurrentGap:
         raw_b = rng.uniform(0.05, 0.95, n) if "b" in learned else None
         cost = ot.cosine_cost(a, b)
         uniform_a, uniform_b = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
-        marginal_a = normalize_weights(raw_a).normalized if raw_a is not None else uniform_a
-        marginal_b = normalize_weights(raw_b).normalized if raw_b is not None else uniform_b
+        marginal_a = normalize_weights(raw_a) if raw_a is not None else uniform_a
+        marginal_b = normalize_weights(raw_b) if raw_b is not None else uniform_b
         expected = (
             ot.coupling_cost(ot.solve_exact(cost, uniform_a, uniform_b), cost),
             ot.coupling_cost(ot.solve_exact(cost, marginal_a, marginal_b), cost),

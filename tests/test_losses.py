@@ -31,23 +31,23 @@ def random_marginal(rng, n):
 class TestNormalizeWeights:
     def test_equal_raw_gives_uniform(self):
         out = normalize_weights(np.full(5, 0.3))
-        assert_allclose(out.normalized, np.full(5, 0.2), atol=1e-15)
+        assert_allclose(out, np.full(5, 0.2), atol=1e-15)
 
     def test_already_normalized_unchanged(self):
         out = normalize_weights(np.array([0.8, 0.2]))
-        assert_allclose(out.normalized, [0.8, 0.2], atol=1e-15)
+        assert_allclose(out, [0.8, 0.2], atol=1e-15)
 
     def test_hand_division(self):
         out = normalize_weights(np.array([0.9, 0.6, 0.3]))
-        assert_allclose(out.normalized, [0.5, 1.0 / 3.0, 1.0 / 6.0], atol=1e-15)
+        assert_allclose(out, [0.5, 1.0 / 3.0, 1.0 / 6.0], atol=1e-15)
 
     def test_order_preserved_and_sums_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             raw = rng.uniform(0.01, 1.0, size=rng.integers(2, 30))
             out = normalize_weights(raw)
-            assert_allclose(out.normalized.sum(), 1.0, atol=1e-12)
-            assert (np.argsort(out.normalized) == np.argsort(raw)).all()
+            assert_allclose(out.sum(), 1.0, atol=1e-12)
+            assert (np.argsort(out) == np.argsort(raw)).all()
 
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -268,17 +268,17 @@ def frozen_rows_objective(plan, raw_s, raw_t, base_s, base_t, wot, iot):
     (column, for the target side of the cross-domain plan) keeps its shape
     and is rescaled to its atom's new mass, and the value is that plan's cost.
     """
-    p_s = normalize_weights(raw_s).normalized
-    p_t = normalize_weights(raw_t).normalized
+    p_s = normalize_weights(raw_s)
+    p_t = normalize_weights(raw_t)
     coupling = wot.coupling
     if plan.learned[0]:
-        coupling = coupling * (p_s / base_s.normalized)[:, None]
+        coupling = coupling * (p_s / normalize_weights(base_s))[:, None]
     if plan.learned[1]:
-        coupling = coupling * (p_t / base_t.normalized)[None, :]
+        coupling = coupling * (p_t / normalize_weights(base_t))[None, :]
     value = plan.beta * ot.coupling_cost(coupling, wot.cost)
     if plan.iot_side is not None:
         marginal, base = ((p_s, base_s), (p_t, base_t))[plan.iot_side]
-        iot_coupling = iot.coupling * (marginal / base.normalized)[:, None]
+        iot_coupling = iot.coupling * (marginal / normalize_weights(base))[:, None]
         value += plan.epsilon * ot.coupling_cost(iot_coupling, iot.cost)
     return value
 
@@ -289,16 +289,13 @@ class TestLossBackward:
         plan = plan_for_setting(setting)
         feats_s = rng.normal(size=(n_s, dim))
         feats_t = rng.normal(size=(n_t, dim))
-        weights = (
-            normalize_weights(rng.uniform(0.2, 0.9, n_s)),
-            normalize_weights(rng.uniform(0.2, 0.9, n_t)),
-        )
+        weights = (rng.uniform(0.2, 0.9, n_s), rng.uniform(0.2, 0.9, n_t))
         return plan, transport_step(plan, feats_s, feats_t, weights, solver="exact"), weights
 
     def check_feature_fd(self, setting, seed):
         plan, step, _ = self.setup_case(setting, seed)
-        grads = loss_backward(plan, step)
-        for grad, fd in zip(grads.features, fd_feature_grads(plan, step)):
+        features, _ = loss_backward(plan, step)
+        for grad, fd in zip(features, fd_feature_grads(plan, step)):
             assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8) <= 1e-4
 
     def test_feature_gradients_match_fd_pda(self):
@@ -322,25 +319,25 @@ class TestLossBackward:
             plan, step, weights = self.setup_case(setting, 14)
             needed = plan.weighted
             assert step.weights == tuple(w if n else None for w, n in zip(weights, needed))
-            grads = loss_backward(plan, step)
-            assert [g is not None for g in grads.raw] == list(needed)
+            _, raw = loss_backward(plan, step)
+            assert [g is not None for g in raw] == list(needed)
 
     @pytest.mark.parametrize("setting, seed", [("pda", 11), ("osda", 12), ("unida", 13)])
     def test_raw_weight_gradients_match_fd_of_frozen_rows(self, setting, seed):
         plan, step, (ws, wt) = self.setup_case(setting, seed, n_s=12, n_t=10)
-        grads = loss_backward(plan, step)
+        _, raw_grads = loss_backward(plan, step)
         h = 1e-6
         checked = 0
-        for weights, grad in zip((ws, wt), grads.raw):
+        for weights, grad in zip((ws, wt), raw_grads):
             if grad is None:
                 continue
-            fd = np.zeros_like(weights.raw)
-            for i in range(weights.raw.size):
+            fd = np.zeros_like(weights)
+            for i in range(weights.size):
                 values = []
                 for delta in (h, -h):
-                    raw = weights.raw.copy()
+                    raw = weights.copy()
                     raw[i] += delta
-                    raw_s, raw_t = (raw, wt.raw) if weights is ws else (ws.raw, raw)
+                    raw_s, raw_t = (raw, wt) if weights is ws else (ws, raw)
                     values.append(
                         frozen_rows_objective(plan, raw_s, raw_t, ws, wt, step.wot, step.iot)
                     )
@@ -359,8 +356,8 @@ class TestLossBackward:
             partial=np.zeros_like(zero),
             iot=dataclasses.replace(step.iot, coupling=np.zeros_like(step.iot.coupling)),
         )
-        grads = loss_backward(plan, step)
-        for grad in grads.features + grads.raw:
+        features, raw = loss_backward(plan, step)
+        for grad in features + raw:
             assert (grad == 0).all()
 
     def test_single_pair_equals_analytic_cosine_gradient(self):
@@ -369,13 +366,15 @@ class TestLossBackward:
         plan = plan_for_setting("csda", beta=1.0)
         cost = ot.cosine_cost(u, v)
         wot = TransportTerm(float(cost[0, 0]), np.array([[1.0]]), cost, True)
-        grads = loss_backward(plan, TransportStep((u, v), (None, None), wot, None, 0.0, None))
+        features, raw = loss_backward(
+            plan, TransportStep((u, v), (None, None), wot, None, 0.0, None)
+        )
         nu, nv = np.linalg.norm(u[0]), np.linalg.norm(v[0])
         uhat, vhat = u[0] / nu, v[0] / nv
         cos = float(uhat @ vhat)
-        assert_allclose(grads.features[0][0], (cos * uhat - vhat) / nu, atol=1e-12)
-        assert_allclose(grads.features[1][0], (cos * vhat - uhat) / nv, atol=1e-12)
-        assert grads.raw == (None, None)
+        assert_allclose(features[0][0], (cos * uhat - vhat) / nu, atol=1e-12)
+        assert_allclose(features[1][0], (cos * vhat - uhat) / nv, atol=1e-12)
+        assert raw == (None, None)
 
     def test_weight_gradient_zero_for_constant_conditional_cost(self):
         # uniform plan over a constant cost: every atom has the same expected
@@ -384,7 +383,7 @@ class TestLossBackward:
         n = 4
         coupling = np.full((n, n), 1.0 / n**2)
         cost = np.full((n, n), 0.7)
-        weights = (normalize_weights(np.full(n, 0.5)), normalize_weights(np.full(n, 0.5)))
+        weights = (np.full(n, 0.5), np.full(n, 0.5))
         step = TransportStep(
             (np.eye(n), np.eye(n)),
             weights,
@@ -393,8 +392,8 @@ class TestLossBackward:
             0.0,
             TransportTerm(0.0, np.zeros((n, n)), np.zeros((n, n)), True),
         )
-        grads = loss_backward(plan, step)
-        assert_allclose(grads.raw[0], np.zeros(n), atol=1e-15)
+        _, raw = loss_backward(plan, step)
+        assert_allclose(raw[0], np.zeros(n), atol=1e-15)
 
     def test_weight_gradient_prefers_cheap_atoms(self):
         # the atom with lower conditional transport cost gets the smaller
@@ -403,9 +402,9 @@ class TestLossBackward:
         plan = plan_for_setting("pda", beta=1.0, eta=0.0, epsilon=0.0)
         fs = np.array([[1.0, 0.0], [0.0, 1.0]])
         ft = np.array([[1.0, 0.1], [-1.0, 0.3]])
-        ws = normalize_weights(np.array([0.5, 0.5]))
-        wt = normalize_weights(np.array([0.5, 0.5]))
+        ws = np.array([0.5, 0.5])
+        wt = np.array([0.5, 0.5])
         step = transport_step(plan, fs, ft, (ws, wt), solver="exact")
-        cond = (step.wot.coupling * step.wot.cost).sum(axis=1) / ws.normalized
-        source_raw = loss_backward(plan, step).raw[0]
+        cond = (step.wot.coupling * step.wot.cost).sum(axis=1) / normalize_weights(ws)
+        source_raw = loss_backward(plan, step)[1][0]
         assert source_raw[np.argmin(cond)] < source_raw[np.argmax(cond)]

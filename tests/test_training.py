@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 from iwot import losses, nets, ot
 from iwot.data import LabelSplit, ShiftSpec, generate_pair
 from iwot.errors import ConfigError, NumericalError
-from iwot.losses import normalize_weights
 from iwot.nets import SgdMomentum, cross_entropy
 from iwot.settings import plan_for_setting
 from iwot.training import (
@@ -293,7 +292,7 @@ def step_objective(model, plan, step, batch, target_x):
         # A side without weights keeps a constant placeholder marginal.
         raw = [np.ones(len(f)) if w is None else model.instance_weights(f)
                for f, w in zip(feats, step.weights)]
-        base = [normalize_weights(np.ones(len(f))) if w is None else w
+        base = [np.ones(len(f)) if w is None else w
                 for f, w in zip(feats, step.weights)]
         value += frozen_rows_objective(plan, *raw, *base, step.wot, step.iot)
     return value
